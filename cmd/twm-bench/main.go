@@ -25,9 +25,6 @@
 //	durability fsync-policy latency ladder of the write-ahead log (off /
 //	           interval / per-batch / per-commit) on the WAL-capable
 //	           engines, emitting BENCH_durability.json (-json)
-//	shardclock partitioned multi-clock A/B: unsharded twm vs a 16-shard
-//	           clock domain on partitioned counters at several cross-shard
-//	           mixes, emitting BENCH_shardclock.json (-json)
 //	all        everything above (except the sweeps with their own axes)
 //
 // Flags select engines, thread counts, per-cell duration for the
@@ -207,26 +204,6 @@ func run(args []string) error {
 			return err
 		}
 		return emit("durability", nil, nil)
-	case "shardclock":
-		sc := bench.DefaultShardClock()
-		sc.Seed = *seed
-		if *scale == "small" {
-			sc.Partitions = 4
-			sc.VarsPerPartition = 64
-		}
-		// The A/B has its own thread axis (the high-contention end of the
-		// sweep, where clock sharing is the bottleneck).
-		if *threadList == "1,4,8,16,32,64" {
-			cfg.Threads = bench.ShardClockThreads()
-		}
-		art, err := bench.ShardClockFigure(out, cfg, sc)
-		if err != nil {
-			return err
-		}
-		if err := writeArtifact(artifactPath(*jsonPath, "shardclock"), art.WriteJSON, len(art.Cells)); err != nil {
-			return err
-		}
-		return emit("shardclock", nil, nil)
 	case "all":
 		if res, err := bench.Fig3SkipList(out, cfg, sl); emit("fig3-skiplist", res, err) != nil {
 			return err
@@ -329,7 +306,6 @@ func summary(cfg bench.FigureConfig, scale string, emit emitFunc) error {
 	}
 	sum.Table2(os.Stdout)
 	sum.ReasonHistogram(os.Stdout)
-	sum.ShardCommitSplit(os.Stdout)
 	return nil
 }
 

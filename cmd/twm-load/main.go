@@ -18,8 +18,6 @@
 //	-zipf       Zipf skew s for account selection (default 1.1; 0 = uniform)
 //	-update     update fraction of traffic (default 0.5)
 //	-seed       replayable schedule seed (default 1)
-//	-clock-shards    server clock shards; enables partition-aware key draws
-//	-cross-shard-frac fraction of transfers spanning two clock shards
 //	-gate       server gate slots, in-process mode only (0 = server default)
 //	-gate-wait  server gate queue bound, in-process mode only
 //	-timeout    server request timeout, in-process mode only (default 2s)
@@ -62,8 +60,6 @@ func run(args []string) error {
 	zipfS := fs.Float64("zipf", 1.1, "Zipf skew (0 = uniform)")
 	updatePct := fs.Float64("update", 0.5, "update fraction of traffic")
 	seed := fs.Uint64("seed", 1, "replayable schedule seed")
-	clockShards := fs.Int("clock-shards", 0, "server clock shards; enables partition-aware key draws (in-process mode boots sharded servers)")
-	crossShardFrac := fs.Float64("cross-shard-frac", 0, "fraction of transfers spanning two clock shards (needs -clock-shards > 1)")
 	gate := fs.Int("gate", 0, "server gate slots (in-process mode; 0 = default)")
 	gateWait := fs.Duration("gate-wait", 0, "server gate queue bound (in-process mode)")
 	timeout := fs.Duration("timeout", 2*time.Second, "server request timeout (in-process mode)")
@@ -74,14 +70,12 @@ func run(args []string) error {
 	}
 
 	cfg := loadgen.Config{
-		Rate:           *rate,
-		Duration:       *duration,
-		Accounts:       *accounts,
-		ZipfS:          *zipfS,
-		UpdatePct:      *updatePct,
-		Seed:           *seed,
-		ClockShards:    *clockShards,
-		CrossShardFrac: *crossShardFrac,
+		Rate:      *rate,
+		Duration:  *duration,
+		Accounts:  *accounts,
+		ZipfS:     *zipfS,
+		UpdatePct: *updatePct,
+		Seed:      *seed,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

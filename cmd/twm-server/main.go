@@ -21,7 +21,6 @@
 //	-wal      WAL directory; empty = volatile    (TWM_SERVER_WAL, "")
 //	-fsync    per-commit|per-batch|interval      (TWM_SERVER_FSYNC, per-commit)
 //	-snapshot-every periodic checkpoint interval (TWM_SERVER_SNAPSHOT_EVERY, 1m)
-//	-clock-shards partitioned clock domains      (TWM_SERVER_CLOCK_SHARDS, 1)
 //
 // With -wal the server is durable: boot replays the directory's snapshot and
 // log before the listener opens, commits append their write sets before they
@@ -74,7 +73,6 @@ func run(args []string) error {
 	walDir := fs.String("wal", envStr("WAL", ""), "write-ahead-log directory (empty = volatile server)")
 	fsync := fs.String("fsync", envStr("FSYNC", ""), "fsync policy: per-commit|per-batch|interval (default per-commit)")
 	snapEvery := fs.Duration("snapshot-every", envDur("SNAPSHOT_EVERY", time.Minute), "periodic checkpoint interval (<0 disables)")
-	clockShards := fs.Int("clock-shards", envInt("CLOCK_SHARDS", 1), "partitioned clock domains, accounts colocated per shard (1 = single global clock)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,7 +95,6 @@ func run(args []string) error {
 		WALDir:         *walDir,
 		FsyncPolicy:    *fsync,
 		SnapshotEvery:  *snapEvery,
-		ClockShards:    *clockShards,
 	})
 	if err != nil {
 		return err

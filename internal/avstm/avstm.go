@@ -37,8 +37,9 @@
 // abort can briefly observe an inconsistent pair of values in the window
 // between its own interval check and a concurrent committer's clamp; the
 // inconsistency is always caught at (or before) commit, so committed
-// transactions remain serializable. The conformance suite therefore runs this
-// engine with stmtest.Options.NotOpaque.
+// transactions remain serializable, and a user error returned by such a
+// transaction is retried instead of surfaced (stm.Validator). The conformance
+// suite therefore runs this engine with stmtest.Options.NotOpaque.
 package avstm
 
 import (
@@ -161,6 +162,24 @@ func (tx *txn) ReadOnly() bool { return tx.readOnly }
 // LastAbortReason implements stm.AbortReasoner: the reason of the most recent
 // commit-time abort (read-path aborts travel in the retry signal).
 func (tx *txn) LastAbortReason() stm.AbortReason { return tx.lastReason }
+
+// Valid implements stm.Validator: whether the interval still holds a point.
+// A committer publishes and clamps under the commit mutex, so taking it waits
+// out one whose write set this transaction saw half-published; by then its
+// clamps have emptied the interval of any transaction that read both an old
+// and a new value of that write set.
+func (tx *txn) Valid() bool {
+	tx.tm.commitMu.Lock()
+	tx.mu.Lock()
+	ok := tx.lb+1 < tx.ub || tx.ub == noUpperBound
+	tx.mu.Unlock()
+	tx.tm.commitMu.Unlock()
+	if !ok {
+		tx.stats.RecordAbort(stm.ReasonIntervalEmpty)
+		tx.lastReason = stm.ReasonIntervalEmpty
+	}
+	return ok
+}
 
 // Begin implements stm.TM.
 func (tm *TM) Begin(readOnly bool) stm.Tx {

@@ -1,8 +1,12 @@
 package avstm
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stm"
 )
 
 func TestChoosePointProperty(t *testing.T) {
@@ -136,5 +140,77 @@ func TestTimestampsAdvance(t *testing.T) {
 	}
 	if x.rts <= x.wts {
 		t.Fatalf("rts %d should exceed wts %d after a later reader", x.rts, x.wts)
+	}
+}
+
+// TestDoomedUserErrorRetried reproduces the window the package doc describes:
+// a committer of x=y=1 has published y but not yet x, so a transaction reads
+// y=1 and x=0 and its body returns a user error built on that state. The
+// committer's clamp empties the reader's interval, so the retry loop must
+// drop the error and run the body again, which then sees x == y.
+func TestDoomedUserErrorRetried(t *testing.T) {
+	tm := New()
+	x, y := tm.NewVar(0).(*avar), tm.NewVar(0).(*avar)
+	const p = pointGap
+
+	// The committer holds the commit mutex for its whole publish-and-clamp.
+	tm.commitMu.Lock()
+	y.mu.Lock()
+	y.value, y.wts = 1, p
+	y.mu.Unlock()
+	y.readers.clampAll(nil, p)
+
+	attempts := 0
+	err := stm.Atomically(tm, true, func(tx stm.Tx) error {
+		attempts++
+		vy, vx := tx.Read(y), tx.Read(x)
+		if attempts == 1 {
+			finishCommit(tm, x, p)
+		}
+		if vx != vy {
+			return fmt.Errorf("inconsistent read: x=%v y=%v", vx, vy)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("doomed attempt's user error surfaced: %v", err)
+	}
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", attempts)
+	}
+	if got := tm.Stats().Snapshot().Aborts; got != 1 {
+		t.Fatalf("aborts = %d, want 1", got)
+	}
+}
+
+// finishCommit completes the committer of TestDoomedUserErrorRetried in the
+// background: it publishes x, clamps x's readers and releases the commit
+// mutex.
+//
+//twm:impure the test drives the committer from inside the doomed attempt
+func finishCommit(tm *TM, x *avar, p uint64) {
+	go func() {
+		x.mu.Lock()
+		x.value, x.wts = 1, p
+		x.mu.Unlock()
+		x.readers.clampAll(nil, p)
+		tm.commitMu.Unlock()
+	}()
+}
+
+// TestValidUserErrorSurfaced: a user error from a transaction whose interval
+// still holds a point is returned as is, after one attempt.
+func TestValidUserErrorSurfaced(t *testing.T) {
+	tm := New()
+	x := tm.NewVar(0)
+	want := errors.New("user abort")
+	attempts := 0
+	err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+		attempts++
+		tx.Write(x, 1)
+		return want
+	})
+	if err != want || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want %v after 1", err, attempts, want)
 	}
 }

@@ -68,14 +68,7 @@ func RunMicro(engine string, m Micro, threads int, d time.Duration, seed uint64,
 	if err != nil {
 		return Result{}, err
 	}
-	return RunMicroOn(WithYield(inner, yieldEvery), engine, m, threads, d, seed)
-}
-
-// RunMicroOn is RunMicro over a pre-built engine instance — the entry point
-// for sweeps whose engines need construction options the registry's plain
-// names don't carry (sharded clocks, budgets, custom wrappers). label names
-// the engine in the Result.
-func RunMicroOn(tm stm.TM, label string, m Micro, threads int, d time.Duration, seed uint64) (Result, error) {
+	tm := WithYield(inner, yieldEvery)
 	op, err := m.Prepare(tm, threads)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: prepare %s: %w", m.Name, err)
@@ -105,7 +98,7 @@ func RunMicroOn(tm stm.TM, label string, m Micro, threads int, d time.Duration, 
 	elapsed := time.Since(start)
 
 	return Result{
-		Engine:  label,
+		Engine:  engine,
 		Threads: threads,
 		Ops:     ops.Load(),
 		Elapsed: elapsed,

@@ -122,3 +122,13 @@ func (t *yieldTx) LastAbortReason() stm.AbortReason {
 	}
 	return stm.ReasonNone
 }
+
+// Valid implements stm.Validator when the inner transaction does, so the
+// yield wrapper does not hide a doomed attempt's user error from the retry
+// loop.
+func (t *yieldTx) Valid() bool {
+	if v, ok := t.inner.(stm.Validator); ok {
+		return v.Valid()
+	}
+	return true
+}

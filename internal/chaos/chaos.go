@@ -1,7 +1,7 @@
 // Package chaos provides a fault-injection middleware for STM engines: a
-// composable stm.TM wrapper (same shape as trace.TM, bench.WithYield and
-// hytm.TM) that deterministically injects spurious aborts, barrier delays and
-// commit stalls into any inner engine.
+// composable stm.TM wrapper (same shape as bench.WithYield and hytm.TM) that
+// deterministically injects spurious aborts, barrier delays and commit
+// stalls into any inner engine.
 //
 // Its purpose is adversarial testing of the retry and contention-management
 // layer. Engines in this repository abort only when a real conflict (or lock
@@ -253,6 +253,14 @@ func (ct *chaosTx) LastAbortReason() stm.AbortReason {
 		return ar.LastAbortReason()
 	}
 	return stm.ReasonNone
+}
+
+// Valid implements stm.Validator by forwarding to the inner transaction.
+func (ct *chaosTx) Valid() bool {
+	if v, ok := ct.inner.(stm.Validator); ok {
+		return v.Valid()
+	}
+	return true
 }
 
 // pause sleeps for d, or yields the processor when d is zero.

@@ -45,21 +45,8 @@ func (tm *TM) GC() int {
 }
 
 // gcLocked is the collection pass body; the caller holds gcMu.
-//
-// At ClockShards>1 the bound is computed per shard: active transactions
-// register their snapshot vectors (RegisterVec), so shard s's bound is the
-// oldest *component s* among live snapshots, capped by shard s's own clock —
-// exact per domain. Folding the scalar min instead would couple every
-// shard's bound to the slowest shard's clock and, under skewed progress,
-// freeze collection on the busy shards (chains then grow without bound and
-// each pass re-walks them).
 func (tm *TM) gcLocked() int {
-	var bounds [mvutil.MaxClockShards]uint64
-	k := tm.clock.Shards()
-	for s := 0; s < k; s++ {
-		bounds[s] = tm.clock.Load(s)
-	}
-	tm.active.MinStarts(bounds[:k])
+	bound := tm.active.MinStart(tm.clock.Load())
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
@@ -70,7 +57,6 @@ func (tm *TM) gcLocked() int {
 		if !v.owner.CompareAndSwap(nil, gcOwner) {
 			continue // busy committer; skip
 		}
-		bound := bounds[v.shard]
 		ver := v.latest.Load()
 		for ver.natOrder > bound || ver.twOrder > bound {
 			next := ver.next.Load()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
@@ -59,7 +57,6 @@ func (tm *TM) commitBatch(reqs []*mvutil.CommitReq) {
 	// submitter at any time, and TM-held scratch must not pin it.
 	clear(tm.batchPend[:cap(tm.batchPend)])
 	clear(tm.batchAdmitted[:cap(tm.batchAdmitted)])
-	clear(tm.batchShard[:cap(tm.batchShard)])
 	clear(tm.batchLogged[:cap(tm.batchLogged)])
 	clear(tm.batchRecs[:cap(tm.batchRecs)])
 }
@@ -154,29 +151,17 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 		return spill
 	}
 
-	// Order assignment, one advance per number line. Unsharded, one shared-
-	// clock advance covers the whole batch: members take the natural orders
-	// base-k+1..base in admitted order. With clock shards, the locked members
-	// are reordered into per-shard groups — single-shard members in admitted
-	// order, one Add per touched shard — followed by the cross-shard members,
-	// each drawing its write version through the fence; on every shard's
-	// number line, natural orders still ascend in processing order, the
-	// invariant the install loop's "observationally sequential" argument
-	// rests on (the fence draws come after every group advance and are
-	// themselves serialized). Either way the advances come after the lock
-	// phase — a snapshot drawn at or above a member's order must find its
-	// version installed or its variable locked, exactly the guarantee the
-	// serial path derives from lock-before-increment.
+	// One shared-clock advance covers the whole batch: members take the
+	// natural orders base-k+1..base in admitted order. The advance must come
+	// after the lock phase — a snapshot drawn at or above base must find
+	// every member's version installed or its variable locked, exactly the
+	// guarantee the serial path derives from lock-before-increment.
+	base := tm.clock.Add(uint64(k))
+	first := base - uint64(k) + 1
+	locked[0].stats.RecordClockAdvance()
 	locked[0].stats.RecordBatch(k)
-	if tm.sharded {
-		locked = tm.assignShardOrders(locked)
-	} else {
-		base := tm.clock.Add(0, uint64(k))
-		first := base - uint64(k) + 1
-		locked[0].stats.RecordClockAdvance()
-		for i, m := range locked {
-			m.natOrder = first + uint64(i)
-		}
+	for i, m := range locked {
+		m.natOrder = first + uint64(i)
 	}
 
 	// Install phase: process members in natural order. Each member's checks
@@ -189,23 +174,17 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 	logged := tm.batchLogged[:0]
 	tm.batchRecs = tm.batchRecs[:0]
 	for _, m := range locked {
-		cross := tm.sharded && m.smask&(m.smask-1) != 0
-		if !cross {
-			// Anti-dependency target check (serial HANDLEWRITE's stamp check),
-			// deliberately at the member's turn rather than the lock phase:
-			// earlier members' commit-time raises must be visible to it, or a
-			// member could miss its target role in a triad and warp into a
-			// cycle. Cross-shard members skip it for the serial path's reason:
-			// they never warp and their write version exceeds every stamp on
-			// every touched shard.
-			for _, e := range m.writeSet.Entries() {
-				if m.stampMax(e.Key) > m.snap(e.Key) {
-					m.target = true
-					break
-				}
+		// Anti-dependency target check (serial HANDLEWRITE's stamp check),
+		// deliberately at the member's turn rather than the lock phase:
+		// earlier members' commit-time raises must be visible to it, or a
+		// member could miss its target role in a triad and warp into a cycle.
+		for _, e := range m.writeSet.Entries() {
+			if m.stampMax(e.Key) > m.start {
+				m.target = true
+				break
 			}
 		}
-		if r := tm.scanMember(m, cross); r != stm.ReasonNone {
+		if r := tm.scanMember(m); r != stm.ReasonNone {
 			tm.finishMember(m, r)
 			continue
 		}
@@ -227,9 +206,6 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 			m.locked = m.locked[:0]
 			m.inBatch = false
 			m.stats.RecordCommit(false)
-			if tm.sharded {
-				m.stats.RecordShardCommit(cross)
-			}
 			m.req.Finish(true)
 			continue
 		}
@@ -265,9 +241,6 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 		// callers that promise zero loss (see internal/server).
 		for _, m := range logged {
 			m.stats.RecordCommit(false)
-			if tm.sharded {
-				m.stats.RecordShardCommit(m.smask&(m.smask-1) != 0)
-			}
 			m.req.Finish(true)
 		}
 	}
@@ -279,27 +252,19 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 // scanMember is the serial HANDLEREAD for one batch member: commit-time
 // semi-visible raises, then the anti-dependency scan, with in-batch locks
 // treated as unlocked (their versions do not exist yet; see waitUnlockedBatch).
-// cross selects the classic cross-shard walk (commitCross's): a version with
-// natural order in (snap, wv] on its shard's line is a fatal stale read, one
-// above wv belongs to a committer serializing after the member.
-func (tm *TM) scanMember(m *txn, cross bool) stm.AbortReason {
+func (tm *TM) scanMember(m *txn) stm.AbortReason {
 	budget := tm.opts.LockSpinBudget
 	for _, v := range m.readSet {
-		m.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
+		m.semiVisibleRead(v, tm.clock.Load())
 		if !v.waitUnlockedBatch(m, budget) {
 			return stm.ReasonLockTimeout
 		}
-		snap := m.snap(v)
 		ver := v.latest.Load()
-		for ver.natOrder > snap {
+		for ver.natOrder > m.start {
 			if ver.timeWarped() {
 				return stm.ReasonTimeWarpSkip // Rule 2: writer already warped
 			}
-			if cross {
-				if ver.natOrder <= m.natOrder {
-					return stm.ReasonReadConflict // stale read; cross never warps
-				}
-			} else if ver.natOrder < m.natOrder {
+			if ver.natOrder < m.natOrder {
 				if m.minAntiDep == 0 || ver.natOrder < m.minAntiDep {
 					m.minAntiDep = ver.natOrder
 				}
@@ -312,56 +277,6 @@ func (tm *TM) scanMember(m *txn, cross bool) stm.AbortReason {
 		}
 	}
 	return stm.ReasonNone
-}
-
-// assignShardOrders is the sharded batch order assignment: it stably
-// partitions the locked members into per-shard groups (single-shard members,
-// admitted order preserved within each group) followed by the cross-shard
-// members, draws one clock advance per populated shard covering its whole
-// group, then one fence draw per cross member, and returns the reordered
-// processing sequence. The scratch slice is leader state under the combiner's
-// leader lock, like the other batch scratch.
-func (tm *TM) assignShardOrders(locked []*txn) []*txn {
-	out := tm.batchShard[:0]
-	var groupMask uint64
-	ncross := 0
-	for _, m := range locked {
-		if m.smask&(m.smask-1) == 0 {
-			groupMask |= m.smask
-		} else {
-			ncross++
-		}
-	}
-	for mask := groupMask; mask != 0; mask &= mask - 1 {
-		s := bits.TrailingZeros64(mask)
-		start := len(out)
-		for _, m := range locked {
-			if m.smask == 1<<s {
-				out = append(out, m)
-			}
-		}
-		ks := uint64(len(out) - start)
-		base := tm.clock.Add(s, ks)
-		first := base - ks + 1
-		out[start].stats.RecordClockAdvance()
-		for i, m := range out[start:] {
-			m.natOrder = first + uint64(i)
-		}
-	}
-	if ncross > 0 {
-		for _, m := range locked {
-			if m.smask&(m.smask-1) == 0 {
-				continue
-			}
-			wv, casRetries := tm.clock.AdvanceCross(m.smask)
-			m.stats.RecordShardCASRetries(casRetries)
-			m.stats.RecordClockAdvance()
-			m.natOrder = wv
-			out = append(out, m)
-		}
-	}
-	tm.batchShard = out
-	return out
 }
 
 // finishMember resolves one batch member as aborted: locks released, stats and

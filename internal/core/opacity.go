@@ -38,7 +38,7 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 		return val // read-after-write
 	}
 	tx.readSet = append(tx.readSet, tv)
-	tx.semiVisibleRead(tv, tx.tm.clock.Load(0)) // opacity excludes sharding
+	tx.semiVisibleRead(tv, tx.tm.clock.Load())
 	if !tv.waitUnlocked(tx, tx.tm.opts.LockSpinBudget) {
 		tx.stats.RecordAbort(stm.ReasonLockTimeout)
 		stm.Retry(stm.ReasonLockTimeout)

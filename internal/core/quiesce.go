@@ -13,15 +13,7 @@ import "runtime"
 // bounds version garbage collection: a transaction that began after the
 // fence does not delay quiescence (its start exceeds the fence timestamp).
 func (tm *TM) Quiesce() {
-	// At ClockShards>1 a registered start is the min over the transaction's
-	// snapshot vector, so the fence must be the min over the shard cells: any
-	// transaction active at the call has registered at or below it.
-	fence := tm.clock.Load(0)
-	for s := 1; s < tm.clock.Shards(); s++ {
-		if c := tm.clock.Load(s); c < fence {
-			fence = c
-		}
-	}
+	fence := tm.clock.Load()
 	for tm.active.MinStart(fence+1) <= fence {
 		runtime.Gosched()
 	}

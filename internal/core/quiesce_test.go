@@ -141,3 +141,85 @@ func TestPrivatizationPattern(t *testing.T) {
 		t.Fatalf("writes slipped past privatization: %d then %d", frozen, final)
 	}
 }
+
+// TestQuiesceAndGC: once Quiesce returns no snapshot can need an old
+// version, so a GC pass leaves exactly the newest version of every variable.
+func TestQuiesceAndGC(t *testing.T) {
+	tm := newTM()
+	vars := make([]stm.Var, 8)
+	for i := range vars {
+		vars[i] = tm.NewVar(0)
+	}
+	for round := 1; round <= 5; round++ {
+		for _, v := range vars {
+			tx := tm.Begin(false)
+			tx.Write(v, round)
+			if !tm.Commit(tx) {
+				t.Fatalf("commit failed")
+			}
+		}
+	}
+	tm.Quiesce()
+	tm.GC()
+	for i, v := range vars {
+		if n := tm.VersionCount(v); n != 1 {
+			t.Fatalf("var %d retains %d versions after GC, want 1", i, n)
+		}
+		ro := tm.Begin(true)
+		if got := ro.Read(v); got != 5 {
+			t.Fatalf("var %d = %v after GC, want 5", i, got)
+		}
+		tm.Commit(ro)
+	}
+}
+
+// TestSeedClockMonotone races recovery's clock seeding against live
+// committers: seeding is a CAS-max, so no committed increment is lost, the
+// clock ends at or above the seed, and a lower seed is a no-op.
+func TestSeedClockMonotone(t *testing.T) {
+	const (
+		workers = 8
+		perW    = 300
+		seedTo  = 5000
+	)
+	tm := newTM()
+	vars := make([]stm.Var, 4)
+	for i := range vars {
+		vars[i] = tm.NewVar(0)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			v := vars[w%len(vars)]
+			for i := 0; i < perW; i++ {
+				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					tx.Write(v, tx.Read(v).(int)+1)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("atomic increment: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	tm.SeedClock(seedTo)
+	tm.SeedClock(seedTo / 2)
+	wg.Wait()
+
+	if c := tm.Clock(); c < seedTo {
+		t.Fatalf("clock %d below seed %d", c, seedTo)
+	}
+	total := 0
+	ro := tm.Begin(true)
+	for _, v := range vars {
+		total += ro.Read(v).(int)
+	}
+	tm.Commit(ro)
+	if want := workers * perW; total != want {
+		t.Fatalf("lost updates across seeding: got %d, want %d", total, want)
+	}
+}

@@ -24,7 +24,6 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,23 +95,6 @@ type Options struct {
 	// Durable wait. Nil (the default) keeps the engine memory-only with zero
 	// commit-path cost. Must be set before the engine serves transactions.
 	Logger stm.CommitLogger
-	// ClockShards partitions the variable space into that many clock domains
-	// (rounded up to a power of two, capped at mvutil.MaxClockShards; 0 and 1
-	// keep the single global clock, byte-identical to the pre-sharding
-	// engine). Every variable belongs to one shard; a transaction whose
-	// footprint stays inside one shard commits against that shard's clock
-	// alone (a single fetch-add — zero cross-shard coordination), and a
-	// transaction spanning shards draws its write version through the
-	// cross-shard fence (two-phase: lock write set in global id order, then
-	// max-fold every touched shard's clock; DESIGN.md §17). Time-warp rules
-	// apply per clock domain; cross-shard commits validate classically and
-	// never warp. Mutually exclusive with Opacity.
-	ClockShards int
-	// Sharder overrides the variable→shard assignment (default: round-robin
-	// on the variable id). It is consulted once, at NewVar, with the
-	// effective shard count; it must be pure and total. Deterministic
-	// sharders keep shard assignment stable across recovery replays.
-	Sharder func(id uint64, shards int) int
 }
 
 const (
@@ -123,15 +105,10 @@ const (
 
 // TM is a Time-Warp Multi-version transactional memory instance.
 type TM struct {
-	opts Options
-	// clock defines N and S. At ClockShards=1 it degenerates to the single
-	// shared logical clock (cell 0), now on its own cache line instead of
-	// sharing one with the hot TM fields below; at K>1 each shard's cell is
-	// an independent number line (DESIGN.md §17).
-	clock   mvutil.ClockDomain
-	sharded bool // ClockShards > 1
-	stats   stm.Stats
-	prof    atomic.Pointer[stm.Profiler]
+	opts  Options
+	clock mvutil.Clock // the shared logical clock defining N and S
+	stats stm.Stats
+	prof  atomic.Pointer[stm.Profiler]
 
 	active  *mvutil.ActiveSet
 	gcCount atomic.Uint64
@@ -155,7 +132,6 @@ type TM struct {
 	combiner      *mvutil.Combiner
 	batchPend     []*txn
 	batchAdmitted []*txn
-	batchShard    []*txn // sharded processing order (assignShardOrders)
 	batchClaimed  map[*twvar]struct{}
 	// batchLogged/batchRecs are the leader's durability scratch (Logger
 	// only): the members whose unlocks are deferred until the batch record is
@@ -184,21 +160,14 @@ func New(opts Options) *TM {
 		// path.
 		panic("core: GroupCommit requires the default time-warp mode")
 	}
-	if opts.Opacity && opts.ClockShards > 1 {
-		// The opacity extension homogenizes every transaction onto the
-		// read-only visibility rule against one serialization order; a
-		// per-shard order has no single twOrder line to homogenize onto.
-		panic("core: Opacity and ClockShards > 1 are mutually exclusive")
-	}
 	tm := &TM{opts: opts}
 	if opts.GroupCommit {
 		tm.combiner = mvutil.NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
 	}
-	// Every shard's clock starts at 1 so the zero readStamp of a never-read
-	// variable can never satisfy the readStamp >= start target check in any
-	// domain (initial versions keep natOrder = twOrder = 0 and are visible to
-	// every snapshot).
-	tm.sharded = tm.clock.Init(opts.ClockShards, 1) > 1
+	// Start the clock at 1 so the zero readStamp of a never-read variable can
+	// never satisfy the readStamp >= start target check (initial versions
+	// keep natOrder = twOrder = 0 and are visible to every snapshot).
+	tm.clock.Store(1)
 	tm.active = mvutil.NewActiveSet()
 	tm.txns.New = func() any {
 		return &txn{
@@ -232,21 +201,8 @@ func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 // SetProfiler implements stm.Profilable.
 func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
 
-// Clock exposes a monotone logical-clock progress measure: the single clock
-// value at ClockShards=1 and the sum of the shard cells otherwise (every
-// commit strictly increases it, which is all the health watchdog and the
-// tests that sample it rely on).
-func (tm *TM) Clock() uint64 { return tm.clock.Sum() }
-
-// ClockShards reports the effective clock-shard count (1 when unsharded).
-func (tm *TM) ClockShards() int { return tm.clock.Shards() }
-
-// ClockVec appends the current per-shard clock vector to dst (one consistent
-// cut). Checkpoints use it to stamp snapshots with per-shard serials.
-func (tm *TM) ClockVec(dst []uint64) []uint64 { return tm.clock.Snapshot(dst) }
-
-// VarShard reports the clock shard v was assigned to (tests, checkpoints).
-func (tm *TM) VarShard(v stm.Var) int { return int(v.(*twvar).shard) }
+// Clock exposes the current logical clock value (tests and examples).
+func (tm *TM) Clock() uint64 { return tm.clock.Load() }
 
 // ActiveSet exposes the active-transaction registry (health watchdog).
 func (tm *TM) ActiveSet() *mvutil.ActiveSet { return tm.active }
@@ -258,27 +214,17 @@ func (tm *TM) Budget() *mvutil.VersionBudget { return tm.opts.Budget }
 // (the health watchdog probes it for the WAL-stall judge).
 func (tm *TM) CommitLogger() stm.CommitLogger { return tm.opts.Logger }
 
-// SeedClock advances every shard's clock to at least v. Recovery calls it,
+// SeedClock advances the logical clock to at least v. Recovery calls it once,
 // after replaying a write-ahead log whose highest serialization key is v and
 // before the engine serves transactions, so every post-recovery commit orders
 // strictly after everything recovered (recovered values are installed as
 // initial versions with natOrder = twOrder = 0, visible to every snapshot).
-// Raising every shard to the global maximum is always sound — clock values
-// need not be dense, only monotone per shard — and stays correct even when
-// the shard count or sharder changed across the restart.
 func (tm *TM) SeedClock(v uint64) {
-	for s := 0; s < tm.clock.Shards(); s++ {
-		tm.clock.Raise(s, v)
-	}
-}
-
-// SeedClockShard advances one shard's clock to at least v (per-shard recovery
-// fast-forward from the WAL's per-shard max-Serial fold). Callers that cannot
-// prove the variable→shard assignment is unchanged since the log was written
-// must follow with SeedClock of the global maximum.
-func (tm *TM) SeedClockShard(s int, v uint64) {
-	if s >= 0 && s < tm.clock.Shards() {
-		tm.clock.Raise(s, v)
+	for {
+		cur := tm.clock.Load()
+		if cur >= v || tm.clock.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -328,12 +274,7 @@ func (v *version) timeWarped() bool { return v.natOrder != v.twOrder }
 
 // twvar is the concrete transactional variable (Table 1's Var struct).
 type twvar struct {
-	id uint64
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
-	// snapshot component it is read against all live on this shard's number
-	// line; numbers from different shards are never compared.
-	shard     uint32
+	id        uint64
 	owner     atomic.Pointer[txn] // commit lock; nil means unlocked
 	latest    atomic.Pointer[version]
 	readStamp atomic.Uint64 // semi-visible read stamp (uncontended fast path)
@@ -374,24 +315,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
 	tm.varsMu.Unlock()
-	if tm.sharded {
-		v.shard = uint32(tm.shardOf(v.id))
-	}
 	return v
-}
-
-// shardOf maps a variable id to its clock shard through the configured
-// sharder (default: round-robin), clamped into range.
-func (tm *TM) shardOf(id uint64) int {
-	k := tm.clock.Shards()
-	if f := tm.opts.Sharder; f != nil {
-		s := f(id, k) % k
-		if s < 0 {
-			s += k
-		}
-		return s
-	}
-	return tm.clock.ShardOf(id)
 }
 
 // gcOwner is the sentinel lock holder used by the garbage collector.
@@ -525,17 +449,7 @@ type txn struct {
 	tm       *TM
 	stats    *stm.StatShard // striped counters; assigned once per descriptor
 	readOnly bool
-	start    uint64 // S(tx); at ClockShards>1 the min over vec (GC registration)
-
-	// vec is the per-shard snapshot vector S(tx)[s], one consistent cut
-	// sampled at Begin (sharded mode only; nil otherwise). Every read of a
-	// variable in shard s is judged against vec[s]. smask/wmask accumulate
-	// the footprint: the shards of every variable read or written (smask)
-	// and written (wmask); a multi-bit smask routes Commit onto the
-	// cross-shard protocol.
-	vec   []uint64
-	smask uint64
-	wmask uint64
+	start    uint64 // S(tx)
 
 	readSet  []*twvar
 	writeSet stm.WriteSet[*twvar] // insertion-ordered, commit sorts by id
@@ -555,13 +469,11 @@ type txn struct {
 
 	lastReason stm.AbortReason // why the last Commit returned false
 
-	// logRecs/logWrites/logShards are the durability scratch (Logger only):
-	// the commit record handed to CommitLogger.Append is built here so the
-	// backing arrays survive recycling. The logger must not retain them past
-	// Append.
+	// logRecs/logWrites are the durability scratch (Logger only): the commit
+	// record handed to CommitLogger.Append is built here so the backing
+	// arrays survive recycling. The logger must not retain them past Append.
 	logRecs   []stm.CommitRecord
 	logWrites []stm.LoggedWrite
-	logShards []uint32
 
 	// req is this descriptor's embedded combiner request (GroupCommit only);
 	// publication allocates nothing. inBatch marks the descriptor as a member
@@ -582,47 +494,19 @@ func (tx *txn) ReadOnly() bool { return tx.readOnly }
 func (tx *txn) LastAbortReason() stm.AbortReason { return tx.lastReason }
 
 // Begin implements stm.TM. The returned transaction observes the snapshot
-// defined by the logical clock at this instant (S(tx)) — at ClockShards>1,
-// one consistent per-shard vector cut (see mvutil.ClockDomain.Snapshot for
-// why the fence seqlock makes the cut consistent).
+// defined by the logical clock at this instant (S(tx)).
 func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	tx.stats.RecordStart()
-	if tm.sharded {
-		tx.vec = tm.clock.Snapshot(tx.vec)
-		// Register the whole vector: the GC folds per-shard bounds from it
-		// (gc.go), so shard s's bound tracks the oldest *component s* among
-		// active snapshots instead of the oldest min-component — one lagging
-		// shard clock must not freeze collection everywhere else. The scalar
-		// min still backs the quiesce fence and the health watchdog.
-		min := tx.vec[0]
-		for _, c := range tx.vec[1:] {
-			if c < min {
-				min = c
-			}
-		}
-		tm.active.RegisterVec(&tx.slot, tx.vec, min)
-		tx.start = min
-		return tx
-	}
 	// Register in the active set before sampling the start timestamp so the
 	// garbage collector can never trim a version this transaction may read.
 	// One clock sample serves both: the registered value equals start, hence
 	// the GC bound is <= start.
-	c0 := tm.clock.Load(0)
+	c0 := tm.clock.Load()
 	tm.active.Register(&tx.slot, c0)
 	tx.start = c0
 	return tx
-}
-
-// snap is the snapshot component a read of v is judged against: the shard's
-// vector component at ClockShards>1, the scalar start otherwise.
-func (tx *txn) snap(v *twvar) uint64 {
-	if tx.vec != nil {
-		return tx.vec[v.shard]
-	}
-	return tx.start
 }
 
 // Recycle implements stm.TxRecycler: reset the descriptor and return it to
@@ -639,7 +523,6 @@ func (tm *TM) Recycle(txi stm.Tx) {
 	tx.locked = stm.ResetVarSlice(tx.locked)
 	tx.source, tx.target = false, false
 	tx.minAntiDep, tx.natOrder, tx.twOrder, tx.start = 0, 0, 0, 0
-	tx.smask, tx.wmask = 0, 0 // vec keeps its backing array; Begin refills it
 	tx.lastReason = stm.ReasonNone
 	tm.txns.Put(tx)
 }
@@ -679,13 +562,11 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 func (tx *txn) readRO(tv *twvar) stm.Value {
 	// The semi-visible read must precede the lock wait so that a concurrent
 	// committer either observes the raised stamp (and raises its target
-	// flag) or has already published its versions before we traverse. The
-	// stamp is raised in the variable's own clock domain.
-	tx.semiVisibleRead(tv, tx.tm.clock.Load(int(tv.shard)))
+	// flag) or has already published its versions before we traverse.
+	tx.semiVisibleRead(tv, tx.tm.clock.Load())
 	tv.waitUnlocked(nil, -1)
-	snap := tx.snap(tv)
 	ver := tv.latest.Load()
-	for ver.twOrder > snap {
+	for ver.twOrder > tx.start {
 		ver = ver.next.Load()
 		if ver == nil {
 			tx.stats.RecordAbort(stm.ReasonMemoryPressure)
@@ -703,14 +584,12 @@ func (tx *txn) readUpdate(tv *twvar) stm.Value {
 		return val // read-after-write
 	}
 	tx.readSet = append(tx.readSet, tv)
-	tx.smask |= 1 << tv.shard
 	if !tv.waitUnlocked(tx, tx.tm.opts.LockSpinBudget) {
 		tx.stats.RecordAbort(stm.ReasonLockTimeout)
 		stm.Retry(stm.ReasonLockTimeout)
 	}
-	snap := tx.snap(tv)
 	ver := tv.latest.Load()
-	for ver.twOrder > snap || ver.natOrder > snap {
+	for ver.twOrder > tx.start || ver.natOrder > tx.start {
 		if ver.timeWarped() {
 			tx.stats.RecordAbort(stm.ReasonTimeWarpSkip)
 			stm.Retry(stm.ReasonTimeWarpSkip)
@@ -732,10 +611,7 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 	if tx.readOnly {
 		panic("core: Write on a read-only transaction")
 	}
-	tv := v.(*twvar)
-	tx.smask |= 1 << tv.shard
-	tx.wmask |= 1 << tv.shard
-	tx.writeSet.Put(tv, val)
+	tx.writeSet.Put(v.(*twvar), val)
 }
 
 // Abort implements stm.TM: cleanup after a retry signal or user abort.
@@ -803,15 +679,6 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		}
 	}
 
-	if tm.sharded && tx.smask&(tx.smask-1) != 0 {
-		// The footprint spans clock shards: the two-phase cross-shard commit
-		// draws its write version through the fence and validates classically
-		// per shard (commitCross below). Everything under this line is the
-		// single-shard path — at ClockShards>1 it runs unchanged against the
-		// footprint shard's clock alone.
-		return tm.commitCross(tx)
-	}
-
 	prof := tm.prof.Load()
 	var t0 int64
 	if prof != nil {
@@ -833,7 +700,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 			return tm.failCommit(tx, stm.ReasonLockTimeout)
 		}
 		tx.locked = append(tx.locked, v)
-		if tx.stampMax(v) > tx.snap(v) {
+		if tx.stampMax(v) > tx.start {
 			// Some transaction concurrent with tx read a variable tx is
 			// about to overwrite: tx is the target of an anti-dependency.
 			// (The paper checks >= with stamps taken before the stamper's
@@ -858,21 +725,16 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	// the scan below provably observes every version of every committer with
 	// a smaller N: such a committer already held all its write locks when it
 	// drew its timestamp, and it releases each lock only after inserting into
-	// that variable — so the lock wait in the scan orders us behind it. (At
-	// ClockShards>1 the whole footprint lives in one shard, so "smaller N"
-	// is well defined on that shard's number line and the argument carries
-	// over verbatim; cross-shard draws through the fence only ever raise the
-	// cell, preserving monotonicity.)
-	tx.natOrder = tm.clock.Add(tx.homeShard(), 1)
+	// that variable — so the lock wait in the scan orders us behind it.
+	tx.natOrder = tm.clock.Add(1)
 
 	// HANDLEREAD: make the reads visible, then detect anti-dependencies
 	// originating at tx (versions of read variables committed after start).
 	for _, v := range tx.readSet {
-		tx.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
+		tx.semiVisibleRead(v, tm.clock.Load())
 		if !v.waitUnlocked(tx, budget) {
 			return tm.failCommit(tx, stm.ReasonLockTimeout)
 		}
-		snap := tx.snap(v)
 		ver := v.latest.Load()
 		if tm.opts.Opacity {
 			if r := tx.scanOpaque(ver); r != stm.ReasonNone {
@@ -880,7 +742,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 			}
 			continue
 		}
-		for ver.natOrder > snap {
+		for ver.natOrder > tx.start {
 			if tm.opts.DisableTimeWarp {
 				// Ablation: classic validation rejects any stale read.
 				return tm.failCommit(tx, stm.ReasonReadConflict)
@@ -954,9 +816,6 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		prof.AddCommit(prof.Now() - t0)
 	}
 	tx.stats.RecordCommit(false)
-	if tm.sharded {
-		tx.stats.RecordShardCommit(false)
-	}
 	tm.maybeGC()
 	if l := tm.opts.Logger; l != nil {
 		// Acknowledge only at the policy's durability point. An error here
@@ -971,151 +830,14 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 // logRecord builds tx's commit record from its write-set entries in the
 // descriptor's scratch. Serial is the time-warp order (the serialization
 // key); Tie the natural order (equal-Serial clashes replay smallest-Tie, the
-// same winner clash elision keeps in memory). At ClockShards>1 the record
-// carries the write-footprint shard vector so recovery can fold a per-shard
-// max serial; unsharded records leave it nil and stay byte-identical on disk.
+// same winner clash elision keeps in memory).
 func (tx *txn) logRecord() stm.CommitRecord {
 	ents := tx.writeSet.Entries()
 	tx.logWrites = tx.logWrites[:0]
 	for i := range ents {
 		tx.logWrites = append(tx.logWrites, stm.LoggedWrite{VarID: ents[i].Key.id, Value: ents[i].Val})
 	}
-	rec := stm.CommitRecord{Serial: tx.twOrder, Tie: tx.natOrder, Writes: tx.logWrites}
-	if tx.tm.sharded {
-		tx.logShards = tx.logShards[:0]
-		for m := tx.wmask; m != 0; m &= m - 1 {
-			tx.logShards = append(tx.logShards, uint32(bits.TrailingZeros64(m)))
-		}
-		rec.Shards = tx.logShards
-	}
-	return rec
-}
-
-// homeShard is the clock shard a single-shard-footprint transaction commits
-// against (0 in unsharded mode, where the mask may be unset).
-func (tx *txn) homeShard() int {
-	if tx.smask != 0 {
-		return bits.TrailingZeros64(tx.smask)
-	}
-	return 0
-}
-
-// commitCross is the two-phase cross-shard commit (DESIGN.md §17), taken when
-// the footprint spans clock domains and no single shard's number line can
-// order the transaction.
-//
-// Phase one locks the write set in global variable-id order — the same
-// deadlock-avoidance order the serial path uses; id order is shard-agnostic,
-// so single-shard and cross-shard committers interleave safely. The lock-phase
-// stamp (target) check is skipped: a cross-shard commit never time-warps, and
-// its write version wv exceeds every number previously drawn on every touched
-// shard, so it cannot shadow a stamped reader.
-//
-// Phase two draws wv through the cross-shard fence: one more than the maximum
-// over every FOOTPRINT shard's clock (reads included — causality hops shard
-// boundaries only through cross-footprint transactions, and the consistency
-// of Begin's vector cuts rests on every such hop raising all the shards it
-// connects inside one fence; see mvutil.ClockDomain). Each touched cell is
-// raised to wv while the fence seqlock is odd, so a concurrent vector cut
-// observes either no touched component at wv or all of them — never half a
-// cross commit.
-//
-// Validation is then classic per shard: a version of a read variable with
-// natural order in (vec[s], wv] on its shard's line means the read is stale
-// and the commit aborts (cross commits cannot warp behind it, and an equal
-// order would leave the pair unordered); versions above wv belong to
-// committers that serialize after us — the anti-dependency they create points
-// forward and is consistent with our position at wv on every touched line.
-// Rule 1 is never invoked and the triad rule is vacuous (no warp, no pivot):
-// natOrder = twOrder = wv.
-func (tm *TM) commitCross(tx *txn) bool {
-	prof := tm.prof.Load()
-	var t0 int64
-	if prof != nil {
-		t0 = prof.Now()
-		defer prof.AddTx()
-	}
-
-	ents := tx.writeSet.Entries()
-	stm.SortEntriesByID(ents)
-	budget := tm.opts.LockSpinBudget
-	for i := range ents {
-		v := ents[i].Key
-		if !v.lock(tx, budget) {
-			return tm.failCommit(tx, stm.ReasonLockTimeout)
-		}
-		tx.locked = append(tx.locked, v)
-	}
-	if prof != nil {
-		now := prof.Now()
-		prof.AddWriteSetVal(now - t0)
-		t0 = now
-	}
-
-	// Draw the write version before scanning the read set, for the same
-	// publication argument as the serial path: every committer with a smaller
-	// order on any touched shard held its write locks when it drew, so the
-	// lock waits below order our traversals behind its inserts.
-	wv, casRetries := tm.clock.AdvanceCross(tx.smask)
-	tx.stats.RecordShardCASRetries(casRetries)
-	tx.natOrder, tx.twOrder = wv, wv
-
-	for _, v := range tx.readSet {
-		tx.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
-		if !v.waitUnlocked(tx, budget) {
-			return tm.failCommit(tx, stm.ReasonLockTimeout)
-		}
-		snap := tx.snap(v)
-		ver := v.latest.Load()
-		for ver.natOrder > snap {
-			if ver.timeWarped() {
-				// A concurrent committer warped a version of a variable we
-				// read; committing would leave our stale read unordered
-				// against its warp destination.
-				return tm.failCommit(tx, stm.ReasonTimeWarpSkip)
-			}
-			if ver.natOrder <= wv {
-				// The writer serialized between our snapshot and wv: our read
-				// is stale and a cross-shard commit cannot warp behind it.
-				return tm.failCommit(tx, stm.ReasonReadConflict)
-			}
-			ver = ver.next.Load()
-			if ver == nil {
-				// Trimmed past the snapshot (see the serial scan).
-				return tm.failCommit(tx, stm.ReasonMemoryPressure)
-			}
-		}
-	}
-	if prof != nil {
-		now := prof.Now()
-		prof.AddReadSetVal(now - t0)
-		t0 = now
-	}
-
-	var lsn stm.LSN
-	if l := tm.opts.Logger; l != nil {
-		tx.logRecs = append(tx.logRecs[:0], tx.logRecord())
-		var err error
-		if lsn, err = l.Append(tx.logRecs); err != nil {
-			return tm.failCommit(tx, stm.ReasonDurability)
-		}
-	}
-
-	for i := range ents {
-		tm.createNewVersion(tx, ents[i].Key, ents[i].Val, nil)
-		ents[i].Key.unlock(tx)
-	}
-	tx.locked = tx.locked[:0]
-	if prof != nil {
-		prof.AddCommit(prof.Now() - t0)
-	}
-	tx.stats.RecordCommit(false)
-	tx.stats.RecordShardCommit(true)
-	tm.maybeGC()
-	if l := tm.opts.Logger; l != nil {
-		l.Durable(lsn) //nolint:errcheck
-	}
-	return true
+	return stm.CommitRecord{Serial: tx.twOrder, Tie: tx.natOrder, Writes: tx.logWrites}
 }
 
 // preDoomed checks cheap, monotone doom conditions before the commit draws
@@ -1141,23 +863,13 @@ func (tm *TM) commitCross(tx *txn) bool {
 // lets doomed commits fail without touching the clock.
 func (tx *txn) preDoomed() stm.AbortReason {
 	tm := tx.tm
-	// A cross-shard footprint commits classically and never warps: any stale
-	// read-set head is fatal there, exactly as in the ablation engine. (Every
-	// version existing now has a natural order below the write version the
-	// cross commit would draw — AdvanceCross returns one more than the maximum
-	// over the touched cells — so the authoritative per-shard scan aborts on
-	// the same version.)
-	cross := tm.sharded && tx.smask&(tx.smask-1) != 0
 	source := false
 	for _, v := range tx.readSet {
 		ver := v.latest.Load()
-		if ver.natOrder <= tx.snap(v) {
+		if ver.natOrder <= tx.start {
 			continue
 		}
-		if tm.opts.DisableTimeWarp || cross {
-			if ver.timeWarped() {
-				return stm.ReasonTimeWarpSkip
-			}
+		if tm.opts.DisableTimeWarp {
 			return stm.ReasonReadConflict
 		}
 		if ver.timeWarped() {
@@ -1170,7 +882,7 @@ func (tx *txn) preDoomed() stm.AbortReason {
 	}
 	ents := tx.writeSet.Entries()
 	for i := range ents {
-		if tx.stampMax(ents[i].Key) > tx.snap(ents[i].Key) {
+		if tx.stampMax(ents[i].Key) > tx.start {
 			return stm.ReasonTriad // source ∧ target
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/mvutil"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 // Steady-state allocation budgets per engine, measured after transaction
@@ -99,41 +98,6 @@ func TestAllocsSmallUpdate(t *testing.T) {
 			upTx() // warm the descriptor pool and slice capacities
 			if got := testing.AllocsPerRun(200, upTx); got > budget.update {
 				t.Errorf("8-write tx: %.1f allocs/op, budget %.0f", got, budget.update)
-			}
-		})
-	}
-}
-
-// TestAllocsTracedReadOnly verifies the trace middleware preserves the
-// allocation-free read path of every engine: the tracedTx wrappers are pooled
-// and the tracer forwards Recycle to the inner engine, so wrapping an engine
-// for tracing costs ring-buffer writes but no heap. This is a regression test
-// for the bug where the tracer did not implement stm.TxRecycler, which made
-// Atomically's recycler assertion fail on the wrapper and silently disabled
-// the inner engine's descriptor pooling (every traced attempt re-allocated
-// its read and write sets).
-func TestAllocsTracedReadOnly(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets do not hold under the race detector")
-	}
-	for _, name := range engines.Names() {
-		t.Run(name, func(t *testing.T) {
-			tm := trace.New(engines.MustNew(name), 1024)
-			vars := make([]stm.Var, 8)
-			for i := range vars {
-				vars[i] = tm.NewVar(i)
-			}
-			roTx := func() {
-				_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
-					for _, v := range vars {
-						_ = tx.Read(v)
-					}
-					return nil
-				})
-			}
-			roTx() // warm the wrapper and descriptor pools
-			if got := testing.AllocsPerRun(200, roTx); got > 0 {
-				t.Errorf("traced read-only tx: %.1f allocs/op, budget 0", got)
 			}
 		})
 	}

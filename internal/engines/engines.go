@@ -143,56 +143,3 @@ func MustNewDurable(name string, logger stm.CommitLogger) stm.TM {
 	}
 	return tm
 }
-
-// ShardedSet lists the engines that support a partitioned clock domain
-// (DESIGN.md §17). Opacity mode homogenizes reads against the single global
-// number line and is excluded.
-func ShardedSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc", "twm-notw"} }
-
-// NewSharded constructs one of the clock-shardable engines with shards clock
-// domains (rounded to a power of two, capped at mvutil.MaxClockShards) and an
-// optional variable-to-shard assignment function (nil selects round-robin on
-// the variable id). shards <= 1 is the unsharded engine, byte-identical in
-// behavior to New(name).
-func NewSharded(name string, shards int, sharder func(id uint64, shards int) int) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{ClockShards: shards, Sharder: sharder}), nil
-	case "twm-notw":
-		return core.New(core.Options{DisableTimeWarp: true, ClockShards: shards, Sharder: sharder}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, ClockShards: shards, Sharder: sharder}), nil
-	}
-	return nil, fmt.Errorf("engines: engine %q does not support clock shards (have %v)", name, ShardedSet())
-}
-
-// MustNewSharded is NewSharded for static names in tests and benchmarks.
-func MustNewSharded(name string, shards int, sharder func(id uint64, shards int) int) stm.TM {
-	tm, err := NewSharded(name, shards, sharder)
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
-
-// NewDurableSharded combines NewDurable and NewSharded: a WAL-capable engine
-// with both a commit logger and a partitioned clock domain. Commit records
-// carry the writer's shard list so recovery can fast-forward every shard
-// clock independently (wal.Recovered.ShardSerials).
-func NewDurableSharded(name string, logger stm.CommitLogger, shards int, sharder func(id uint64, shards int) int) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	}
-	return nil, fmt.Errorf("engines: engine %q does not support a sharded commit log (have %v)", name, DurableSet())
-}

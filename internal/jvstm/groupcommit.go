@@ -1,7 +1,6 @@
 package jvstm
 
 import (
-	"math/bits"
 	"runtime"
 
 	"repro/internal/mvutil"
@@ -49,7 +48,6 @@ func (tm *TM) commitBatch(reqs []*mvutil.CommitReq) {
 	// submitter at any time, and TM-held scratch must not pin it.
 	clear(tm.batchPend[:cap(tm.batchPend)])
 	clear(tm.batchAdmitted[:cap(tm.batchAdmitted)])
-	clear(tm.batchShard[:cap(tm.batchShard)])
 	clear(tm.batchLogged[:cap(tm.batchLogged)])
 	clear(tm.batchRecs[:cap(tm.batchRecs)])
 }
@@ -89,7 +87,7 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 	for _, m := range pend {
 		stale := false
 		for _, v := range m.readSet {
-			if v.head.Load().ver > m.snap(v) {
+			if v.head.Load().ver > m.start {
 				stale = true
 				break
 			}
@@ -144,53 +142,37 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 		return spill
 	}
 
-	// Write-version assignment, after the lock phase so the serial invariant
-	// holds: a committer owns all its write locks when it draws its number —
-	// a reader whose snapshot covers a member's version waits on that
-	// member's lock until the version is installed. Unsharded, one clock
-	// advance of k covers the batch, members taking base-k+1..base in
-	// admitted order. Sharded, assignShardOrders reorders the batch into
-	// per-shard runs (one Add per populated shard) followed by the
-	// cross-footprint members (one fence draw each); write versions still
-	// ascend per shard in processing order, which is all the sequential-
-	// schedule argument below needs — two members touching a common variable
-	// share that variable's shard, so their processing order matches their
-	// version order on its number line.
+	// One shared-clock advance covers the whole batch: members take write
+	// versions base-k+1..base in admitted order. The advance comes after the
+	// lock phase, preserving the serial invariant that a committer holds all
+	// its write locks when it draws its version number — a reader whose
+	// snapshot covers a member's version waits on that member's lock until
+	// the version is installed.
+	base := tm.clock.Add(uint64(k))
+	first := base - uint64(k) + 1
+	locked[0].stats.RecordClockAdvance()
 	locked[0].stats.RecordBatch(k)
-	if tm.sharded {
-		locked = tm.assignShardOrders(locked)
-	} else {
-		base := tm.clock.Add(0, uint64(k))
-		first := base - uint64(k) + 1
-		locked[0].stats.RecordClockAdvance()
-		for i, m := range locked {
-			m.wv = first + uint64(i)
-		}
-	}
 
 	// Install phase: validate and publish members in version order. Each
 	// member validates against the heads left by every earlier member, so the
 	// batch is observationally the sequential schedule m_1; ...; m_k. The
-	// serial wv == snap+1 shortcut needs no special casing here: member i's
-	// write version on its shard is above every earlier same-shard member's
-	// snapshot component (the shard's Add follows every member's Begin), so
-	// the shortcut can only fire for a shard run's first member, for which it
-	// is the ordinary TL2 argument on that number line. Cross-footprint
-	// members advanced several number lines and always validate in full.
+	// serial wv == start+1 shortcut needs no special casing here: member i's
+	// write version is at least first + i > start_j for every member j (the
+	// batch's Add follows every member's Begin), so the shortcut can only
+	// fire for the first member, for which it is the ordinary TL2 argument.
 	var charge mvutil.BatchCharge
 	logged := tm.batchLogged[:0]
 	tm.batchRecs = tm.batchRecs[:0]
-	for _, m := range locked {
-		wv := m.wv
-		cross := tm.sharded && m.smask&(m.smask-1) != 0
-		if cross || wv != m.snapShard(m.homeShard())+1 {
+	for i, m := range locked {
+		wv := first + uint64(i)
+		if wv != m.start+1 {
 			r := stm.ReasonNone
 			for _, v := range m.readSet {
 				if !m.waitUnlockedBatch(v) {
 					r = stm.ReasonLockTimeout
 					break
 				}
-				if v.head.Load().ver > m.snap(v) {
+				if v.head.Load().ver > m.start {
 					r = stm.ReasonReadConflict
 					break
 				}
@@ -222,9 +204,6 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 			m.locked = m.locked[:0]
 			m.inBatch = false
 			m.stats.RecordCommit(false)
-			if tm.sharded {
-				m.stats.RecordShardCommit(cross)
-			}
 			m.req.Finish(true)
 			continue
 		}
@@ -253,68 +232,12 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 		// callers that promise zero loss (see internal/server).
 		for _, m := range logged {
 			m.stats.RecordCommit(false)
-			if tm.sharded {
-				m.stats.RecordShardCommit(m.smask&(m.smask-1) != 0)
-			}
 			m.req.Finish(true)
 		}
 	}
 	charge.Flush(tm.opts.Budget)
 	tm.maybeGCBatch(k)
 	return spill
-}
-
-// assignShardOrders reorders a locked batch for a sharded clock and assigns
-// each member's write version (m.wv). Single-shard-footprint members are
-// stable-partitioned into per-shard runs, each run taking one Add(s, k_s) on
-// its shard's clock and consecutive write versions in admitted order;
-// cross-footprint members go last, each drawing its version through the
-// fence (AdvanceCross over the full footprint), which lands above every run
-// version on every shard it touches. Write versions therefore ascend per
-// shard in processing order — the invariant the install loop's
-// sequential-schedule argument relies on. Returns the new processing order
-// (tm.batchShard scratch, valid under the leader lock).
-func (tm *TM) assignShardOrders(locked []*txn) []*txn {
-	out := tm.batchShard[:0]
-	var groupMask uint64
-	ncross := 0
-	for _, m := range locked {
-		if m.smask&(m.smask-1) == 0 {
-			groupMask |= m.smask
-		} else {
-			ncross++
-		}
-	}
-	for mask := groupMask; mask != 0; mask &= mask - 1 {
-		s := bits.TrailingZeros64(mask)
-		start := len(out)
-		for _, m := range locked {
-			if m.smask == 1<<uint(s) {
-				out = append(out, m)
-			}
-		}
-		ks := uint64(len(out) - start)
-		base := tm.clock.Add(s, ks)
-		first := base - ks + 1
-		out[start].stats.RecordClockAdvance()
-		for i, m := range out[start:] {
-			m.wv = first + uint64(i)
-		}
-	}
-	if ncross > 0 {
-		for _, m := range locked {
-			if m.smask&(m.smask-1) == 0 {
-				continue
-			}
-			wv, casRetries := tm.clock.AdvanceCross(m.smask)
-			m.stats.RecordShardCASRetries(casRetries)
-			m.stats.RecordClockAdvance()
-			m.wv = wv
-			out = append(out, m)
-		}
-	}
-	tm.batchShard = out
-	return out
 }
 
 // waitUnlockedBatch is the leader's variant of waitUnlocked: locks held by

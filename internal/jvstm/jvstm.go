@@ -12,7 +12,6 @@
 package jvstm
 
 import (
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -56,17 +55,6 @@ type Options struct {
 	// Durable runs after install, before the commit is acknowledged. JVSTM
 	// never time-warps, so records carry Tie == Serial (== the write version).
 	Logger stm.CommitLogger
-	// ClockShards partitions the variable space into that many clock domains,
-	// exactly as in internal/core (rounded up to a power of two, capped at
-	// mvutil.MaxClockShards; 0 and 1 keep the single global clock): a
-	// transaction whose footprint stays inside one shard draws its write
-	// version from that shard's clock alone, and a cross-shard footprint draws
-	// through the fence and validates every read per shard (DESIGN.md §17).
-	ClockShards int
-	// Sharder overrides the variable→shard assignment (default: round-robin
-	// on the variable id). Consulted once, at NewVar, with the effective shard
-	// count; must be pure and total.
-	Sharder func(id uint64, shards int) int
 }
 
 const (
@@ -77,14 +65,10 @@ const (
 
 // TM is a JVSTM instance.
 type TM struct {
-	opts Options
-	// clock defines the commit order. At ClockShards=1 it degenerates to the
-	// single shared clock (cell 0) on its own cache line; at K>1 each shard's
-	// cell is an independent number line (DESIGN.md §17).
-	clock   mvutil.ClockDomain
-	sharded bool // ClockShards > 1
-	stats   stm.Stats
-	prof    atomic.Pointer[stm.Profiler]
+	opts  Options
+	clock mvutil.Clock
+	stats stm.Stats
+	prof  atomic.Pointer[stm.Profiler]
 
 	active  *mvutil.ActiveSet
 	gcCount atomic.Uint64
@@ -105,7 +89,6 @@ type TM struct {
 	shardSeq      atomic.Uint32
 	batchPend     []*txn
 	batchAdmitted []*txn
-	batchShard    []*txn // sharded processing order (assignShardOrders)
 	batchClaimed  map[*jvar]struct{}
 	// batchLogged/batchRecs are the leader's durability scratch (Logger
 	// only): members whose unlocks are deferred until the batch record is
@@ -129,7 +112,7 @@ func New(opts Options) *TM {
 	if opts.GroupCommit {
 		tm.combiner = mvutil.NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
 	}
-	tm.sharded = tm.clock.Init(opts.ClockShards, 1) > 1
+	tm.clock.Store(1)
 	tm.active = mvutil.NewActiveSet()
 	tm.txns.New = func() any {
 		return &txn{tm: tm, stats: tm.stats.Shard(), shard: int(tm.shardSeq.Add(1))}
@@ -154,20 +137,8 @@ func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 // SetProfiler implements stm.Profilable.
 func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
 
-// Clock exposes a monotone commit-clock progress measure: the single clock
-// value at ClockShards=1 and the sum of the shard cells otherwise (health
-// watchdog, tests).
-func (tm *TM) Clock() uint64 { return tm.clock.Sum() }
-
-// ClockShards reports the effective clock-shard count (1 when unsharded).
-func (tm *TM) ClockShards() int { return tm.clock.Shards() }
-
-// ClockVec appends the current per-shard clock vector to dst (one consistent
-// cut). Checkpoints use it to stamp snapshots with per-shard serials.
-func (tm *TM) ClockVec(dst []uint64) []uint64 { return tm.clock.Snapshot(dst) }
-
-// VarShard reports the clock shard v was assigned to (tests, checkpoints).
-func (tm *TM) VarShard(v stm.Var) int { return int(v.(*jvar).shard) }
+// Clock exposes the current commit clock value (health watchdog, tests).
+func (tm *TM) Clock() uint64 { return tm.clock.Load() }
 
 // ActiveSet exposes the active-transaction registry (health watchdog).
 func (tm *TM) ActiveSet() *mvutil.ActiveSet { return tm.active }
@@ -179,26 +150,17 @@ func (tm *TM) Budget() *mvutil.VersionBudget { return tm.opts.Budget }
 // runs without a write-ahead log (health watchdog, server wiring).
 func (tm *TM) CommitLogger() stm.CommitLogger { return tm.opts.Logger }
 
-// SeedClock raises every shard's commit clock to at least v. Recovery-only:
-// call it once, after replaying a WAL and before the first transaction, so
+// SeedClock raises the commit clock to at least v. Recovery-only: call it
+// once, after replaying a WAL and before the first transaction, so
 // post-recovery commits draw write versions strictly above every recovered
 // serial. Recovered values themselves are installed as initial versions
-// (version 0) via NewVar. Raising every shard to the global maximum is always
-// sound and stays correct when the shard count or sharder changed across the
-// restart.
+// (version 0) via NewVar.
 func (tm *TM) SeedClock(v uint64) {
-	for s := 0; s < tm.clock.Shards(); s++ {
-		tm.clock.Raise(s, v)
-	}
-}
-
-// SeedClockShard advances one shard's clock to at least v (per-shard recovery
-// fast-forward from the WAL's per-shard max-Serial fold). Callers that cannot
-// prove the variable→shard assignment is unchanged since the log was written
-// must follow with SeedClock of the global maximum.
-func (tm *TM) SeedClockShard(s int, v uint64) {
-	if s >= 0 && s < tm.clock.Shards() {
-		tm.clock.Raise(s, v)
+	for {
+		cur := tm.clock.Load()
+		if cur >= v || tm.clock.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -211,11 +173,7 @@ type jversion struct {
 
 // jvar is the transactional variable (a VBox).
 type jvar struct {
-	id uint64
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded); its versions' numbers and the snapshot component it is read
-	// against live on this shard's line.
-	shard uint32
+	id    uint64
 	owner atomic.Pointer[txn]
 	head  atomic.Pointer[jversion]
 
@@ -239,24 +197,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
 	tm.varsMu.Unlock()
-	if tm.sharded {
-		v.shard = uint32(tm.shardOf(v.id))
-	}
 	return v
-}
-
-// shardOf maps a variable id to its clock shard through the configured
-// sharder (default: round-robin), clamped into range.
-func (tm *TM) shardOf(id uint64) int {
-	k := tm.clock.Shards()
-	if f := tm.opts.Sharder; f != nil {
-		s := f(id, k) % k
-		if s < 0 {
-			s += k
-		}
-		return s
-	}
-	return tm.clock.ShardOf(id)
 }
 
 // txn is a JVSTM transaction. Descriptors are pooled (see Recycle); the
@@ -265,16 +206,7 @@ type txn struct {
 	tm       *TM
 	stats    *stm.StatShard // striped counters; assigned once per descriptor
 	readOnly bool
-	start    uint64 // at ClockShards>1 the min over vec (GC registration)
-
-	// vec is the per-shard snapshot vector, one consistent cut sampled at
-	// Begin (sharded mode only; nil otherwise); every read of a variable in
-	// shard s is judged against vec[s]. smask/wmask accumulate the footprint
-	// shards of reads+writes and writes; a multi-bit smask routes Commit onto
-	// the cross-shard draw.
-	vec   []uint64
-	smask uint64
-	wmask uint64
+	start    uint64
 
 	readSet  []*jvar
 	writeSet stm.WriteSet[*jvar]
@@ -287,25 +219,19 @@ type txn struct {
 	// inBatch serve the group-commit stage exactly as in internal/core: req is
 	// the embedded combiner request, and inBatch — written only by the leader,
 	// under the combiner's leader lock, always false by the time the request
-	// resolves — marks membership in the batch being installed. wv is the
-	// member's batch-assigned write version (leader state, same lock).
+	// resolves — marks membership in the batch being installed.
 	shard   int
 	req     mvutil.CommitReq
 	inBatch bool
-	wv      uint64
 
-	// logRecs/logWrites/logShards are scratch for the commit-logger hand-off;
-	// the logger must not retain them past Append (stm.CommitLogger contract).
+	// logRecs/logWrites are scratch for the commit-logger hand-off; the logger
+	// must not retain them past Append (stm.CommitLogger contract).
 	logRecs   []stm.CommitRecord
 	logWrites []stm.LoggedWrite
-	logShards []uint32
 }
 
 // logRecord builds this transaction's commit record over the scratch slices.
 // JVSTM serializes in natural (write-version) order, so Tie == Serial == wv.
-// At ClockShards>1 the record carries the write-footprint shard vector for
-// recovery's per-shard max-Serial fold; unsharded records stay byte-identical
-// on disk.
 func (tx *txn) logRecord(wv uint64) stm.CommitRecord {
 	ents := tx.writeSet.Entries()
 	w := tx.logWrites[:0]
@@ -313,41 +239,7 @@ func (tx *txn) logRecord(wv uint64) stm.CommitRecord {
 		w = append(w, stm.LoggedWrite{VarID: ents[i].Key.id, Value: ents[i].Val})
 	}
 	tx.logWrites = w
-	rec := stm.CommitRecord{Serial: wv, Tie: wv, Writes: w}
-	if tx.tm.sharded {
-		tx.logShards = tx.logShards[:0]
-		for m := tx.wmask; m != 0; m &= m - 1 {
-			tx.logShards = append(tx.logShards, uint32(bits.TrailingZeros64(m)))
-		}
-		rec.Shards = tx.logShards
-	}
-	return rec
-}
-
-// homeShard is the clock shard a single-shard-footprint transaction commits
-// against (0 in unsharded mode, where the mask may be unset).
-func (tx *txn) homeShard() int {
-	if tx.smask != 0 {
-		return bits.TrailingZeros64(tx.smask)
-	}
-	return 0
-}
-
-// snap is the snapshot component a read of v is judged against: the shard's
-// vector component at ClockShards>1, the scalar start otherwise.
-func (tx *txn) snap(v *jvar) uint64 {
-	if tx.vec != nil {
-		return tx.vec[v.shard]
-	}
-	return tx.start
-}
-
-// snapShard is snap by shard index (the commit shortcut's home-shard check).
-func (tx *txn) snapShard(s int) uint64 {
-	if tx.vec != nil {
-		return tx.vec[s]
-	}
-	return tx.start
+	return stm.CommitRecord{Serial: wv, Tie: wv, Writes: w}
 }
 
 // ReadOnly implements stm.Tx.
@@ -371,28 +263,11 @@ func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	tx.stats.RecordStart()
-	if tm.sharded {
-		// One consistent per-shard vector cut (mvutil.ClockDomain.Snapshot).
-		// Register the whole vector so the GC folds per-shard bounds from the
-		// live components (gcLocked); the scalar min backs quiesce-style
-		// consumers. Registering only the min would couple every shard's GC
-		// bound to the slowest shard's clock.
-		tx.vec = tm.clock.Snapshot(tx.vec)
-		min := tx.vec[0]
-		for _, c := range tx.vec[1:] {
-			if c < min {
-				min = c
-			}
-		}
-		tm.active.RegisterVec(&tx.slot, tx.vec, min)
-		tx.start = min
-		return tx
-	}
 	// One clock sample serves both the active-set registration and the
 	// snapshot: the GC bound is registered before the snapshot is used and
 	// equals it, so the collector can never trim a version this transaction
 	// may read.
-	c0 := tm.clock.Load(0)
+	c0 := tm.clock.Load()
 	tm.active.Register(&tx.slot, c0)
 	tx.start = c0
 	return tx
@@ -410,7 +285,6 @@ func (tm *TM) Recycle(txi stm.Tx) {
 	tx.writeSet.Reset()
 	tx.locked = stm.ResetVarSlice(tx.locked)
 	tx.start = 0
-	tx.smask, tx.wmask = 0, 0 // vec keeps its backing array; Begin refills it
 	tx.lastReason = stm.ReasonNone
 	tm.txns.Put(tx)
 }
@@ -439,14 +313,12 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 			return val
 		}
 		tx.readSet = append(tx.readSet, tv)
-		tx.smask |= 1 << tv.shard
 	}
 	for tv.owner.Load() != nil {
 		runtime.Gosched()
 	}
-	snap := tx.snap(tv)
 	ver := tv.head.Load()
-	for ver.ver > snap {
+	for ver.ver > tx.start {
 		ver = ver.next.Load()
 		if ver == nil {
 			// A hard-pressure trim reclaimed the version this snapshot needs
@@ -469,10 +341,7 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 	if tx.readOnly {
 		panic("jvstm: Write on a read-only transaction")
 	}
-	tv := v.(*jvar)
-	tx.smask |= 1 << tv.shard
-	tx.wmask |= 1 << tv.shard
-	tx.writeSet.Put(tv, val)
+	tx.writeSet.Put(v.(*jvar), val)
 }
 
 // Abort implements stm.TM.
@@ -528,7 +397,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	// below fire far more often. This check takes no lock waits: a head
 	// mid-publication is left to the authoritative pass.
 	for _, v := range tx.readSet {
-		if v.head.Load().ver > tx.snap(v) {
+		if v.head.Load().ver > tx.start {
 			return tx.failCommit(stm.ReasonReadConflict)
 		}
 	}
@@ -553,21 +422,8 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	// locks when it drew its number, so the lock wait below guarantees the
 	// validation observes its versions. Drawing the number after validation
 	// would let a reader outrun a writer it missed and still serialize after
-	// it. A single-shard footprint draws from its shard's clock alone
-	// (identical to the unsharded path at ClockShards=1); a cross-shard
-	// footprint draws through the fence — one more than the maximum over
-	// every touched shard's cell, every touched cell raised to wv under the
-	// fence seqlock, so Begin's vector cuts never observe half of it.
-	cross := tm.sharded && tx.smask&(tx.smask-1) != 0
-	var wv uint64
-	home := tx.homeShard()
-	if cross {
-		var casRetries int
-		wv, casRetries = tm.clock.AdvanceCross(tx.smask)
-		tx.stats.RecordShardCASRetries(casRetries)
-	} else {
-		wv = tm.clock.Add(home, 1)
-	}
+	// it.
+	wv := tm.clock.Add(1)
 
 	// Classic validation: abort if any read variable has a version newer
 	// than our snapshot. A concurrent committer that holds a lock on a read
@@ -578,16 +434,13 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	// either at or below start — its publications are inside our snapshot,
 	// and the read barrier already waited those out — or above wv, in which
 	// case it serializes after us and cannot have produced a version our
-	// reads missed. Nothing remains to validate. With a single-shard
-	// footprint the same argument runs on the home shard's number line
-	// against its snapshot component; a cross-shard draw has no shortcut
-	// (several lines advanced) and validates every read per shard.
-	if cross || wv != tx.snapShard(home)+1 {
+	// reads missed. Nothing remains to validate.
+	if wv != tx.start+1 {
 		for _, v := range tx.readSet {
 			if !tx.waitUnlocked(v) {
 				return tx.failCommit(stm.ReasonLockTimeout)
 			}
-			if v.head.Load().ver > tx.snap(v) {
+			if v.head.Load().ver > tx.start {
 				if prof != nil {
 					prof.AddReadSetVal(prof.Now() - t0)
 				}
@@ -634,9 +487,6 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		prof.AddCommit(prof.Now() - t0)
 	}
 	tx.stats.RecordCommit(false)
-	if tm.sharded {
-		tx.stats.RecordShardCommit(cross)
-	}
 	tm.maybeGC()
 	if l := tm.opts.Logger; l != nil {
 		// Wait out the fsync policy before acknowledging. A Durable failure
@@ -697,18 +547,9 @@ func (tm *TM) GC() int {
 	return tm.gcLocked()
 }
 
-// gcLocked is the collection pass body; the caller holds gcMu. At
-// ClockShards>1 the bound is computed per shard from the registered snapshot
-// vectors (RegisterVec + MinStarts), capped by each shard's own clock —
-// exact per domain, so one lagging shard clock cannot freeze collection on
-// the others (see core/gc.go for the failure shape that motivates this).
+// gcLocked is the collection pass body; the caller holds gcMu.
 func (tm *TM) gcLocked() int {
-	var bounds [mvutil.MaxClockShards]uint64
-	k := tm.clock.Shards()
-	for s := 0; s < k; s++ {
-		bounds[s] = tm.clock.Load(s)
-	}
-	tm.active.MinStarts(bounds[:k])
+	bound := tm.active.MinStart(tm.clock.Load())
 	tm.varsMu.Lock()
 	vars := tm.vars
 	tm.varsMu.Unlock()
@@ -719,7 +560,6 @@ func (tm *TM) gcLocked() int {
 		if !v.owner.CompareAndSwap(nil, gcOwner) {
 			continue
 		}
-		bound := bounds[v.shard]
 		ver := v.head.Load()
 		for ver.ver > bound {
 			next := ver.next.Load()

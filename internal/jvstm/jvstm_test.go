@@ -1,6 +1,7 @@
 package jvstm_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dsg"
@@ -137,5 +138,56 @@ func TestDoomedCommitPassesOnClock(t *testing.T) {
 	}
 	if after := tm.Clock(); after != before {
 		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
+	}
+}
+
+// TestSeedClockMonotone races recovery's clock seeding against live
+// committers: seeding is a CAS-max, so no committed increment is lost, the
+// clock ends at or above the seed, and a lower seed is a no-op.
+func TestSeedClockMonotone(t *testing.T) {
+	const (
+		workers = 8
+		perW    = 300
+		seedTo  = 5000
+	)
+	tm := jvstm.New(jvstm.Options{})
+	vars := make([]stm.Var, 4)
+	for i := range vars {
+		vars[i] = tm.NewVar(0)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			v := vars[w%len(vars)]
+			for i := 0; i < perW; i++ {
+				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					tx.Write(v, tx.Read(v).(int)+1)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("atomic increment: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	tm.SeedClock(seedTo)
+	tm.SeedClock(seedTo / 2)
+	wg.Wait()
+
+	if c := tm.Clock(); c < seedTo {
+		t.Fatalf("clock %d below seed %d", c, seedTo)
+	}
+	total := 0
+	ro := tm.Begin(true)
+	for _, v := range vars {
+		total += ro.Read(v).(int)
+	}
+	tm.Commit(ro)
+	if want := workers * perW; total != want {
+		t.Fatalf("lost updates across seeding: got %d, want %d", total, want)
 	}
 }

@@ -80,7 +80,6 @@ func runOne(ctx context.Context, engine string, cfg Config, opts ServerOptions) 
 		GateLimit:      opts.GateLimit,
 		GateWait:       opts.GateWait,
 		RequestTimeout: opts.RequestTimeout,
-		ClockShards:    cfg.ClockShards,
 		// The measurement is the HTTP responses; server logs would only skew
 		// it (stderr writes on the serving path) and flood the bench output.
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),

@@ -39,13 +39,7 @@ type activeShard struct {
 // Register/Unregister calls on it must alternate.
 type Slot struct {
 	start uint64
-	// vec is the per-clock-shard snapshot vector of a RegisterVec
-	// registration (nil for scalar Register). The slice is owned by the
-	// registrant, which must not mutate it while the slot is registered; the
-	// shard mutex taken by RegisterVec orders the vector's contents before
-	// any MinStarts read.
-	vec  []uint64
-	home *activeShard
+	home  *activeShard
 }
 
 // NewActiveSet returns an initialized registry.
@@ -69,26 +63,6 @@ func (a *ActiveSet) Register(slot *Slot, start uint64) {
 		slot.home = sh
 	}
 	slot.start = start
-	slot.vec = nil
-	sh.mu.Lock()
-	sh.slots[slot] = struct{}{}
-	sh.mu.Unlock()
-}
-
-// RegisterVec is Register for a transaction begun on a per-clock-shard
-// snapshot vector: scalar consumers (MinStart) see min, and per-shard
-// consumers (MinStarts) see each component — so one shard's GC bound is
-// never dragged down by a transaction whose snapshot of that shard is
-// actually recent, just because some *other* shard's clock lags. min must be
-// the minimum of vec; the registrant must not mutate vec while registered.
-func (a *ActiveSet) RegisterVec(slot *Slot, vec []uint64, min uint64) {
-	sh := slot.home
-	if sh == nil {
-		sh = &a.shards[a.seq.Add(1)&(activeShards-1)]
-		slot.home = sh
-	}
-	slot.start = min
-	slot.vec = vec
 	sh.mu.Lock()
 	sh.slots[slot] = struct{}{}
 	sh.mu.Unlock()
@@ -121,32 +95,4 @@ func (a *ActiveSet) MinStart(fallback uint64) uint64 {
 		sh.mu.Unlock()
 	}
 	return min
-}
-
-// MinStarts folds the per-clock-shard minimum start into dst, which the
-// caller pre-fills with per-shard fallbacks (typically each shard's clock).
-// Vector registrations contribute component-wise; scalar ones contribute
-// their single start to every component (the conservative reading — a scalar
-// registrant's snapshot position on any shard's line is unknown).
-func (a *ActiveSet) MinStarts(dst []uint64) {
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for slot := range sh.slots {
-			if len(slot.vec) == len(dst) {
-				for s, c := range slot.vec {
-					if c < dst[s] {
-						dst[s] = c
-					}
-				}
-				continue
-			}
-			for s := range dst {
-				if slot.start < dst[s] {
-					dst[s] = slot.start
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
 }

@@ -78,14 +78,6 @@ type Config struct {
 	// panic inside a transaction body). Tests and ops drills only.
 	Debug bool
 
-	// ClockShards partitions the engine's commit clock into this many domains
-	// (rounded to a power of two; see DESIGN.md §17). Accounts are colocated —
-	// an account's balance and held variables share a shard — so single-account
-	// operations commit against one clock and a transfer touches at most two.
-	// 0 or 1 keeps the single global clock; requires a shardable Engine and is
-	// incompatible with a pre-built TM.
-	ClockShards int
-
 	// WALDir, when set, makes the server durable: boot replays the directory's
 	// snapshot and log (wal.Recover), the engine is built with the log attached
 	// (engines.NewDurable — Engine must name a WAL-capable engine, and TM must
@@ -171,17 +163,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if tm == nil {
 		var err error
-		if cfg.ClockShards > 1 {
-			tm, err = engines.NewSharded(cfg.Engine, cfg.ClockShards, accountSharder)
-		} else {
-			tm, err = engines.New(cfg.Engine)
-		}
-		if err != nil {
+		if tm, err = engines.New(cfg.Engine); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.ClockShards > 1 && cfg.TM != nil {
-		return nil, errors.New("server: Config.TM and Config.ClockShards are mutually exclusive (sharding is an engine-construction option)")
 	}
 	if cfg.GateLimit <= 0 {
 		cfg.GateLimit = 4 * runtime.GOMAXPROCS(0)

@@ -136,6 +136,16 @@ type AbortReasoner interface {
 	LastAbortReason() AbortReason
 }
 
+// Validator is implemented by transaction descriptors of engines that are not
+// opaque, where an attempt already doomed to abort can observe an
+// inconsistent state and its body can return a user error built on it. Before
+// the retry loop surfaces a body's error it asks Valid: false means the
+// attempt's reads admit no serialization point, so the error is dropped and
+// the attempt retried (its reason read back through AbortReasoner).
+type Validator interface {
+	Valid() bool
+}
+
 // Atomically executes fn as a transaction of tm, retrying until it commits.
 //
 // fn may be executed several times; it must be idempotent apart from its
@@ -228,19 +238,28 @@ func runOnce(tm TM, rec TxRecycler, tx Tx, fn func(Tx) error) (err error, reason
 		}
 	}()
 	if err := fn(tx); err != nil {
+		if v, ok := tx.(Validator); ok && !v.Valid() {
+			tm.Abort(tx)
+			return nil, lastAbortReason(tx), true
+		}
 		tm.Abort(tx)
 		return err, ReasonNone, false
 	}
 	if tm.Commit(tx) {
 		return nil, ReasonNone, false
 	}
-	reason = ReasonWriteConflict
+	return nil, lastAbortReason(tx), true
+}
+
+// lastAbortReason reads back why the engine failed tx, defaulting to
+// ReasonWriteConflict.
+func lastAbortReason(tx Tx) AbortReason {
 	if ar, ok := tx.(AbortReasoner); ok {
 		if r := ar.LastAbortReason(); r != ReasonNone {
-			reason = r
+			return r
 		}
 	}
-	return nil, reason, true
+	return ReasonWriteConflict
 }
 
 // Backoff implements randomized exponential backoff between transaction

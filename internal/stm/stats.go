@@ -59,18 +59,7 @@ type StatShard struct {
 	clockAdvances atomic.Uint64
 	batchHist     [batchHistBuckets]atomic.Uint64
 
-	// Sharded-clock counters (DESIGN.md §17): singleShard counts update
-	// commits whose footprint stayed inside one clock shard (the
-	// zero-coordination fast path — at ClockShards=1 every update commit is
-	// one), crossShard counts commits that drew their write version through
-	// the cross-shard fence, and shardCASRetries counts GV4-style raise
-	// attempts inside the fence that lost to concurrent single-shard
-	// fetch-adds.
-	singleShard     atomic.Uint64
-	crossShard      atomic.Uint64
-	shardCASRetries atomic.Uint64
-
-	_ [128 - (14+batchHistBuckets+int(numAbortReasons))*8%128]byte
+	_ [128 - (11+batchHistBuckets+int(numAbortReasons))*8%128]byte
 }
 
 // batchHistBuckets is the batch-size histogram width: bucket i covers sizes
@@ -152,25 +141,6 @@ func (s *StatShard) RecordHandoff() { s.handoffs.Add(1) }
 // by tests as ClockAdvances == GroupBatches.
 func (s *StatShard) RecordClockAdvance() { s.clockAdvances.Add(1) }
 
-// RecordShardCommit notes one installed update commit, classified by whether
-// its footprint stayed inside a single clock shard (the zero-coordination
-// path) or drew its write version through the cross-shard fence.
-func (s *StatShard) RecordShardCommit(cross bool) {
-	if cross {
-		s.crossShard.Add(1)
-	} else {
-		s.singleShard.Add(1)
-	}
-}
-
-// RecordShardCASRetries notes n CAS-max attempts that lost a race while the
-// cross-shard fence raised touched clock cells (GV4-style adoption).
-func (s *StatShard) RecordShardCASRetries(n int) {
-	if n > 0 {
-		s.shardCASRetries.Add(uint64(n))
-	}
-}
-
 // RecordStart notes one transaction attempt (shard 0; use Shard() on hot
 // paths).
 func (s *Stats) RecordStart() { s.shards[0].RecordStart() }
@@ -221,14 +191,6 @@ type Snapshot struct {
 	CombinerHandoffs uint64
 	ClockAdvances    uint64
 	BatchSizeHist    [8]uint64
-	// Sharded-clock counters (zero on engines without Options.ClockShards
-	// support). SingleShardCommits counts update commits that advanced one
-	// shard's clock with a plain fetch-add; CrossShardCommits counts commits
-	// that drew through the cross-shard fence; ShardClockCASRetries counts
-	// fence raise attempts that lost to concurrent single-shard advances.
-	SingleShardCommits   uint64
-	CrossShardCommits    uint64
-	ShardClockCASRetries uint64
 }
 
 // MeanBatchSize returns the average installed-batch size, or 0 when the
@@ -257,9 +219,6 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.BatchSpills += sh.batchSpills.Load()
 		snap.CombinerHandoffs += sh.handoffs.Load()
 		snap.ClockAdvances += sh.clockAdvances.Load()
-		snap.SingleShardCommits += sh.singleShard.Load()
-		snap.CrossShardCommits += sh.crossShard.Load()
-		snap.ShardClockCASRetries += sh.shardCASRetries.Load()
 		for b := range sh.batchHist {
 			snap.BatchSizeHist[b] += sh.batchHist[b].Load()
 		}
@@ -290,9 +249,6 @@ func (s *Stats) Reset() {
 		sh.batchSpills.Store(0)
 		sh.handoffs.Store(0)
 		sh.clockAdvances.Store(0)
-		sh.singleShard.Store(0)
-		sh.crossShard.Store(0)
-		sh.shardCASRetries.Store(0)
 		for b := range sh.batchHist {
 			sh.batchHist[b].Store(0)
 		}

@@ -15,8 +15,6 @@ import (
 //	record  = bodyLen:u32 | body | crc:u32(IEEE over body)
 //	body    = type:u8 | payload
 //	commit  = ntx:u32 | ntx × (serial:u64 | tie:u64 | nwrites:u32 | writes)
-//	scommit = ntx:u32 | ntx × (serial:u64 | tie:u64 | nshards:u32 |
-//	          nshards × shard:u32 | nwrites:u32 | writes)
 //	write   = varID:u64 | value
 //	meta    = metaSeq:u64 | len:u32 | payload bytes
 //	value   = tag:u8 | data (see encodeValue)
@@ -24,19 +22,12 @@ import (
 // All integers are little-endian and fixed-width: the log is a durability
 // artifact, not a wire format, and fixed widths keep torn-tail detection a
 // pure length/CRC question.
-//
-// Sharded-clock engines (Options.ClockShards > 1) append recCommitSharded
-// records whose shard vector names the clock shards the commit's serial was
-// drawn from; recovery folds a per-shard max serial from them. Unsharded
-// engines leave CommitRecord.Shards nil and their logs stay byte-identical
-// to the pre-sharding format (recCommit, shard 0 implied).
 const (
 	segMagic  = "TWMWAL1\n"
 	snapMagic = "TWMSNP1\n"
 
-	recCommit        = 1
-	recMeta          = 2
-	recCommitSharded = 3
+	recCommit = 1
+	recMeta   = 2
 )
 
 // Value codec tags. The WAL stores stm.Values of the transparent Go types the
@@ -137,32 +128,13 @@ func decodeValue(b []byte) (stm.Value, []byte, error) {
 }
 
 // encodeCommitBody appends the body of a commit record (type byte included).
-// A batch containing any shard vector is framed as recCommitSharded; a batch
-// of plain records keeps the original recCommit layout byte-for-byte.
 func encodeCommitBody(b []byte, recs []stm.CommitRecord) ([]byte, error) {
-	sharded := false
-	for i := range recs {
-		if len(recs[i].Shards) > 0 {
-			sharded = true
-			break
-		}
-	}
-	if sharded {
-		b = append(b, recCommitSharded)
-	} else {
-		b = append(b, recCommit)
-	}
+	b = append(b, recCommit)
 	b = appendU32(b, uint32(len(recs)))
 	for i := range recs {
 		r := &recs[i]
 		b = appendU64(b, r.Serial)
 		b = appendU64(b, r.Tie)
-		if sharded {
-			b = appendU32(b, uint32(len(r.Shards)))
-			for _, s := range r.Shards {
-				b = appendU32(b, s)
-			}
-		}
 		b = appendU32(b, uint32(len(r.Writes)))
 		for _, w := range r.Writes {
 			b = appendU64(b, w.VarID)
@@ -175,9 +147,8 @@ func encodeCommitBody(b []byte, recs []stm.CommitRecord) ([]byte, error) {
 	return b, nil
 }
 
-// decodeCommitBody parses a commit-record body past the type byte. sharded
-// selects the recCommitSharded layout (per-record shard vectors).
-func decodeCommitBody(b []byte, sharded bool) ([]stm.CommitRecord, error) {
+// decodeCommitBody parses a commit-record body past the type byte.
+func decodeCommitBody(b []byte) ([]stm.CommitRecord, error) {
 	if len(b) < 4 {
 		return nil, errCorrupt
 	}
@@ -185,35 +156,14 @@ func decodeCommitBody(b []byte, sharded bool) ([]stm.CommitRecord, error) {
 	b = b[4:]
 	recs := make([]stm.CommitRecord, 0, ntx)
 	for i := 0; i < ntx; i++ {
-		if len(b) < 16 {
+		if len(b) < 20 {
 			return nil, errCorrupt
 		}
 		var r stm.CommitRecord
 		r.Serial = binary.LittleEndian.Uint64(b)
 		r.Tie = binary.LittleEndian.Uint64(b[8:])
-		b = b[16:]
-		if sharded {
-			if len(b) < 4 {
-				return nil, errCorrupt
-			}
-			ns := int(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-			if ns < 0 || len(b) < 4*ns {
-				return nil, errCorrupt
-			}
-			if ns > 0 {
-				r.Shards = make([]uint32, ns)
-				for j := 0; j < ns; j++ {
-					r.Shards[j] = binary.LittleEndian.Uint32(b[4*j:])
-				}
-				b = b[4*ns:]
-			}
-		}
-		if len(b) < 4 {
-			return nil, errCorrupt
-		}
-		nw := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
+		nw := int(binary.LittleEndian.Uint32(b[16:]))
+		b = b[20:]
 		r.Writes = make([]stm.LoggedWrite, 0, nw)
 		for j := 0; j < nw; j++ {
 			if len(b) < 8 {

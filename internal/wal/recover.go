@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -30,15 +31,8 @@ type Recovered struct {
 	Torn    bool
 	// SnapshotSerial is the serial of the snapshot used, 0 when none.
 	SnapshotSerial uint64
-	// ShardSerials is the per-clock-shard max-Serial fold: for every shard a
-	// commit record declared (shard 0 for unsharded records), the highest
-	// Serial seen on that shard's number line, including the snapshot's
-	// per-shard floor. Sharded engines fast-forward each shard's clock past
-	// its entry; Serial above remains the global max across shards.
-	ShardSerials map[uint32]uint64
 
-	wins             map[uint64]winner // fold state: winning (Serial, Tie) per var
-	snapShardSerials []uint64          // snapshot's per-shard serial vector, nil for scalar snapshots
+	wins map[uint64]winner // fold state: winning (Serial, Tie) per var
 }
 
 // winner is the serialization key of the currently winning write of one
@@ -63,32 +57,26 @@ func (r *Recovered) Value(varID uint64, fallback stm.Value) stm.Value {
 // shape of a crash mid-append; the same damage anywhere else is corruption
 // and fails loudly.
 func Recover(dir string) (*Recovered, error) {
-	out := &Recovered{
-		Values:       make(map[uint64]stm.Value),
-		wins:         make(map[uint64]winner),
-		ShardSerials: make(map[uint32]uint64),
-	}
+	out := &Recovered{Values: make(map[uint64]stm.Value), wins: make(map[uint64]winner)}
 	segs, snaps, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
 
 	// Newest readable snapshot wins; damaged ones are skipped, not fatal —
-	// older snapshots plus longer replay reproduce the same state.
+	// older snapshots plus longer replay reproduce the same state. A snapshot
+	// in an unknown format fails recovery instead: skipping it would silently
+	// drop whatever the segments it let Prune remove held.
 	for i := len(snaps) - 1; i >= 0; i-- {
 		s, err := readSnapshot(filepath.Join(dir, snaps[i].name))
+		if errors.Is(err, errSnapshotFormat) {
+			return nil, fmt.Errorf("wal: snapshot %s: %w", snaps[i].name, err)
+		}
 		if err != nil {
 			continue
 		}
 		out.SnapshotSerial = s.Serial
 		out.Serial = s.Serial
-		out.snapShardSerials = s.ShardSerials
-		for sh, v := range s.ShardSerials {
-			out.ShardSerials[uint32(sh)] = v
-		}
-		if len(s.ShardSerials) == 0 && s.Serial > 0 {
-			out.ShardSerials[0] = s.Serial
-		}
 		out.Metas = append(out.Metas, s.Metas...)
 		for id, v := range s.Values {
 			// No fold entry: every surviving record has Serial above the
@@ -160,33 +148,11 @@ func nextRecord(raw []byte) (body, rest []byte, ok bool) {
 	return body, raw[4+n+4:], true
 }
 
-// covered reports whether the snapshot value-covers rec. With a scalar
-// snapshot the rule is the original serial comparison. With a per-shard
-// snapshot vector, serials from different shards are not mutually comparable:
-// a record is covered only if its Serial is at or below the snapshot's
-// component for EVERY shard it touched — a record from a slow shard with a
-// numerically small serial appended after the snapshot must replay, even when
-// a fast shard pushed the scalar max far past it.
-func (r *Recovered) covered(rec *stm.CommitRecord) bool {
-	if len(r.snapShardSerials) == 0 {
-		return rec.Serial <= r.SnapshotSerial
-	}
-	if len(rec.Shards) == 0 {
-		return rec.Serial <= r.snapShardSerials[0]
-	}
-	for _, s := range rec.Shards {
-		if int(s) >= len(r.snapShardSerials) || rec.Serial > r.snapShardSerials[s] {
-			return false
-		}
-	}
-	return true
-}
-
 // apply folds one record body.
 func (r *Recovered) apply(body []byte, nextMeta *uint64) error {
 	switch body[0] {
-	case recCommit, recCommitSharded:
-		recs, err := decodeCommitBody(body[1:], body[0] == recCommitSharded)
+	case recCommit:
+		recs, err := decodeCommitBody(body[1:])
 		if err != nil {
 			return err
 		}
@@ -196,18 +162,7 @@ func (r *Recovered) apply(body []byte, nextMeta *uint64) error {
 			if rec.Serial > r.Serial {
 				r.Serial = rec.Serial
 			}
-			if len(rec.Shards) == 0 {
-				if rec.Serial > r.ShardSerials[0] {
-					r.ShardSerials[0] = rec.Serial
-				}
-			} else {
-				for _, s := range rec.Shards {
-					if rec.Serial > r.ShardSerials[s] {
-						r.ShardSerials[s] = rec.Serial
-					}
-				}
-			}
-			if r.covered(rec) {
+			if rec.Serial <= r.SnapshotSerial {
 				continue // value-covered by the snapshot
 			}
 			for _, w := range rec.Writes {

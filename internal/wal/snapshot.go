@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 )
@@ -23,14 +24,6 @@ type Snapshot struct {
 	Serial uint64
 	Metas  [][]byte
 	Values map[uint64]Value
-	// ShardSerials is the per-clock-shard serial vector the snapshot read at
-	// (index = shard id), set when the engine runs with ClockShards > 1. It
-	// replaces the scalar Serial in replay's coverage rule: serials from
-	// different shards are not mutually comparable, so a record is covered
-	// only when its serial is at or below the component of every shard it
-	// touched. Empty for unsharded engines — the snapshot file then stays
-	// byte-identical to the pre-sharding format.
-	ShardSerials []uint64
 }
 
 // Value aliases stm.Value without forcing snapshot consumers to import stm.
@@ -53,14 +46,6 @@ func WriteSnapshot(dir string, seq uint64, s *Snapshot) error {
 		var err error
 		if body, err = encodeValue(body, v); err != nil {
 			return err
-		}
-	}
-	if len(s.ShardSerials) > 1 {
-		// Optional trailing shard vector; absent on unsharded snapshots so
-		// their bytes match the pre-sharding format exactly.
-		body = appendU32(body, uint32(len(s.ShardSerials)))
-		for _, v := range s.ShardSerials {
-			body = appendU64(body, v)
 		}
 	}
 
@@ -113,7 +98,22 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, errCorrupt
 	}
+	s, err := parseSnapshot(body)
+	if err != nil {
+		return nil, errSnapshotFormat
+	}
+	return s, nil
+}
 
+// errSnapshotFormat reports a snapshot whose framing and checksum hold but
+// whose body does not parse, trailing bytes included. Snapshots are written
+// whole (temp file, fsync, rename), so such a file is not crash damage: it
+// was written in a format this reader does not know, and guessing at it
+// could misjudge which log records the snapshot covers.
+var errSnapshotFormat = fmt.Errorf("%w: snapshot body does not match the format", errCorrupt)
+
+// parseSnapshot decodes a checksum-verified snapshot body.
+func parseSnapshot(body []byte) (*Snapshot, error) {
 	s := &Snapshot{Values: make(map[uint64]Value)}
 	if len(body) < 12 {
 		return nil, errCorrupt
@@ -150,22 +150,6 @@ func readSnapshot(path string) (*Snapshot, error) {
 		}
 		body = rest
 		s.Values[id] = val
-	}
-	if len(body) > 0 {
-		// Trailing per-shard serial vector (sharded snapshots only).
-		if len(body) < 4 {
-			return nil, errCorrupt
-		}
-		ns := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if ns < 2 || ns > 1<<16 || len(body) != 8*ns {
-			return nil, errCorrupt
-		}
-		s.ShardSerials = make([]uint64, ns)
-		for i := range s.ShardSerials {
-			s.ShardSerials[i] = binary.LittleEndian.Uint64(body[8*i:])
-		}
-		body = nil
 	}
 	if len(body) != 0 {
 		return nil, errCorrupt
