@@ -54,6 +54,7 @@ func openDurable(cfg *Config) (stm.TM, *wal.Writer, *wal.Recovered, error) {
 		Dir:       cfg.WALDir,
 		Policy:    policy,
 		MetaStart: uint64(len(rec.Metas)),
+		Hooks:     cfg.walHooks,
 	})
 	if err != nil {
 		return nil, nil, nil, err

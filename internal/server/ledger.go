@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/stm"
+	"repro/internal/wal"
 )
 
 // Domain errors. The HTTP layer maps them to statuses (404 for ErrNotFound,
@@ -38,18 +40,19 @@ type account struct {
 // All money movement happens inside transactions over the accounts' TVars.
 //
 // On a durable server (Config.WALDir) the ledger also owns the metadata side
-// of the log: each creation appends one meta record — payload, variable
-// allocation and registration all under the write lock, so the meta sequence
-// order equals the creation order equals the variable-id order, which is what
-// lets recovery re-create accounts with the exact variable ids the log's
-// commit records refer to.
+// of the log: each creation appends one meta record, then allocates the
+// variables and registers the account, all under the write lock — so the
+// meta sequence order equals the creation order equals the variable-id
+// order, which is what lets recovery re-create accounts with the exact
+// variable ids the log's commit records refer to. The fsync that makes the
+// meta record durable happens after the lock is released (see Create).
 type Ledger struct {
 	tm stm.TM
 
-	// logMeta, when non-nil, durably appends one creation record
-	// (wal.Writer.AppendMeta); a refusal fails the creation — an account the
-	// log does not know cannot be recovered.
-	logMeta func(payload []byte) error
+	// metaLog, when non-nil, receives one meta record per creation; a
+	// refused append or fsync fails the creation — an account the log does
+	// not know cannot be recovered.
+	metaLog *wal.Writer
 
 	mu       sync.RWMutex
 	accounts map[string]*account
@@ -67,35 +70,95 @@ func NewLedger(tm stm.TM) *Ledger {
 // the handle is published under the registry lock before any transaction can
 // reach it. Allocation happens under the lock too, so on a durable ledger
 // the variable ids follow the meta sequence order (see the type comment).
+//
+// On a durable ledger Create returns only once the meta record is fsynced,
+// but it waits for that fsync after releasing the lock, so lookups — and the
+// transfers and reads behind them — never queue behind a disk flush. The
+// account is visible before its record is durable, just as a commit's
+// versions are visible before its Durable wait: any commit that touches it
+// appends later in the log, so that commit's fsync covers the meta record.
 func (l *Ledger) Create(id string, initial int64) error {
 	if initial < 0 {
 		return ErrBadAmount
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if _, ok := l.accounts[id]; ok {
+		l.mu.Unlock()
 		return ErrExists
 	}
-	var payload []byte
-	if l.logMeta != nil {
-		var err error
-		if payload, err = json.Marshal(accountMeta{ID: id, Balance: initial}); err != nil {
-			return err
-		}
-		if err := l.logMeta(payload); err != nil {
-			return fmt.Errorf("ledger: durable create: %w", err)
+	lsn, err := l.createLocked([]string{id}, initial)
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.syncMeta(lsn)
+}
+
+// Seed creates accounts "0".."n-1" with initial each, skipping ids that
+// already exist (restored by recovery: their durable balance stands). On a
+// durable ledger the new accounts cost one meta append and one fsync in all.
+func (l *Ledger) Seed(n int, initial int64) error {
+	if n > 0 && initial < 0 {
+		return ErrBadAmount
+	}
+	l.mu.Lock()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		if id := strconv.Itoa(i); l.accounts[id] == nil {
+			ids = append(ids, id)
 		}
 	}
-	bal := stm.NewTVar(l.tm, initial)
-	held := stm.NewTVar(l.tm, int64(0))
-	l.register(id, &account{balance: bal, held: held}, payload)
+	lsn, err := l.createLocked(ids, initial)
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.syncMeta(lsn)
+}
+
+// createLocked appends the meta records of new accounts ids (one AppendMeta
+// for all), then allocates balance and held for each in meta order and
+// registers it. It returns the LSN the caller must pass to syncMeta once it
+// has released the write lock, which it holds here.
+func (l *Ledger) createLocked(ids []string, initial int64) (stm.LSN, error) {
+	payloads := make([][]byte, len(ids)) // entries stay nil on a memory-only ledger
+	var lsn stm.LSN
+	if l.metaLog != nil && len(ids) > 0 {
+		for i, id := range ids {
+			p, err := json.Marshal(accountMeta{ID: id, Balance: initial})
+			if err != nil {
+				return 0, err
+			}
+			payloads[i] = p
+		}
+		var err error
+		if lsn, err = l.metaLog.AppendMeta(payloads...); err != nil {
+			return 0, fmt.Errorf("ledger: durable create: %w", err)
+		}
+	}
+	for i, id := range ids {
+		l.register(id, &account{balance: stm.NewTVar(l.tm, initial), held: stm.NewTVar(l.tm, int64(0))}, payloads[i])
+	}
+	return lsn, nil
+}
+
+// syncMeta waits until the meta records up to lsn are fsynced (no-op on a
+// memory-only ledger). A failed fsync latches the log, so later commits fail
+// too instead of acknowledging writes to an account recovery cannot rebuild.
+func (l *Ledger) syncMeta(lsn stm.LSN) error {
+	if l.metaLog == nil {
+		return nil
+	}
+	if err := l.metaLog.SyncTo(lsn); err != nil {
+		return fmt.Errorf("ledger: durable create: %w", err)
+	}
 	return nil
 }
 
 // register publishes one account under the held write lock.
 func (l *Ledger) register(id string, a *account, payload []byte) {
 	l.accounts[id] = a
-	if l.logMeta != nil {
+	if l.metaLog != nil {
 		l.order = append(l.order, id)
 		l.metas = append(l.metas, payload)
 	}

@@ -99,6 +99,10 @@ type Config struct {
 	ReadHeaderTimeout time.Duration
 	IdleTimeout       time.Duration
 	MaxHeaderBytes    int
+
+	// walHooks are fault-injection points for the durable server's log
+	// writer (the package's own tests crash or stall it through them).
+	walHooks wal.Hooks
 }
 
 // Metrics are the server's own request-outcome counters (the engine's
@@ -185,20 +189,17 @@ func New(cfg Config) (*Server, error) {
 		wal:    w,
 	}
 	if w != nil {
-		s.ledger.logMeta = w.AppendMeta
+		s.ledger.metaLog = w
 		if err := s.recover(rec); err != nil {
 			w.Close()
 			return nil, err
 		}
 	}
-	for i := 0; i < cfg.Accounts; i++ {
-		err := s.ledger.Create(fmt.Sprint(i), cfg.InitialBalance)
-		if errors.Is(err, ErrExists) {
-			continue // recovered from the log; its durable balance stands
+	if err := s.ledger.Seed(cfg.Accounts, cfg.InitialBalance); err != nil {
+		if w != nil {
+			w.Close()
 		}
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	if w != nil && cfg.SnapshotEvery > 0 {
 		s.snapStop, s.snapDone = make(chan struct{}), make(chan struct{})
@@ -293,9 +294,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	if maxHeader == 0 {
 		maxHeader = 64 << 10
 	}
+	conns := connStates{m: make(map[net.Conn]connState)}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		BaseContext:       func(net.Listener) context.Context { return base },
+		ConnState:         conns.track,
 		ReadHeaderTimeout: readHeader,
 		IdleTimeout:       idle,
 		MaxHeaderBytes:    maxHeader,
@@ -314,7 +317,32 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	// ctx is already done; Shutdown needs a fresh deadline for the drain.
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	err := hs.Shutdown(sctx)
+	// Shutdown closes the listener and idle connections and waits for the
+	// rest, but it counts a connection that never sent a request (StateNew —
+	// e.g. a client transport's spare dial) as busy until it is 5 s old, as
+	// long as the default drain. So the drain also ends once the tracked
+	// states show no connection serving a request or just accepted: what
+	// remains is idle or has sent nothing for newConnGrace, and
+	// hard-closing it cuts no request in progress.
+	shut := make(chan error, 1)
+	go func() { shut <- hs.Shutdown(sctx) }()
+	tick := time.NewTicker(drainPoll)
+	defer tick.Stop()
+	var err error
+wait:
+	for {
+		select {
+		case err = <-shut:
+			break wait
+		case <-tick.C:
+			if !conns.busy() {
+				hs.Close()
+				cancel()
+				<-shut
+				break wait
+			}
+		}
+	}
 	// Drain over — cleanly or expired. Cancel anything still retrying (a
 	// no-op on a clean drain) and, if connections remain, force-close them so
 	// their now-cancelled handlers' goroutines retire instead of leaking.
@@ -327,6 +355,51 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 		return fmt.Errorf("server: drain incomplete: %w", err)
 	}
 	return nil
+}
+
+// drainPoll is how often a drain re-checks the connection states, and
+// newConnGrace how long a just-accepted connection may take to start its
+// first request before the drain treats it as never used.
+const (
+	drainPoll    = 10 * time.Millisecond
+	newConnGrace = 100 * time.Millisecond
+)
+
+// connStates tracks each connection's latest http.ConnState, so a drain can
+// tell a connection serving a request from one that never sent one.
+type connStates struct {
+	mu sync.Mutex
+	m  map[net.Conn]connState
+}
+
+type connState struct {
+	state http.ConnState
+	since time.Time
+}
+
+// track is the http.Server.ConnState hook.
+func (c *connStates) track(conn net.Conn, state http.ConnState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch state {
+	case http.StateClosed, http.StateHijacked:
+		delete(c.m, conn)
+	default:
+		c.m[conn] = connState{state, time.Now()}
+	}
+}
+
+// busy reports whether a connection is serving a request, or was accepted
+// so recently that its first request may still be on the way.
+func (c *connStates) busy() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.m {
+		if s.state == http.StateActive || s.state == http.StateNew && time.Since(s.since) < newConnGrace {
+			return true
+		}
+	}
+	return false
 }
 
 // routes builds the ServeMux. Method+path patterns (Go 1.22 mux) keep the

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -332,4 +334,37 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 	}
 	client.CloseIdleConnections()
+}
+
+// TestGracefulShutdownIdleConn: a connection that never sends a request — a
+// client transport's spare dial — must not hold the drain open. net/http's
+// Shutdown alone counts it busy for 5 s, which used to expire the drain.
+func TestGracefulShutdownIdleConn(t *testing.T) {
+	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 2, InitialBalance: 100})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln, 5*time.Second) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	start := time.Now()
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v, want clean drain", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("drain with one idle connection took %v", took)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("idle connection not closed by the drain: %v", err)
+	}
 }

@@ -26,7 +26,7 @@ func goldenSegment(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendMeta([]byte("acct:1")); err != nil {
+	if _, err := w.AppendMeta([]byte("acct:1")); err != nil {
 		t.Fatal(err)
 	}
 	batches := [][]stm.CommitRecord{

@@ -240,27 +240,58 @@ func (w *Writer) Append(recs []stm.CommitRecord) (stm.LSN, error) {
 	return w.appendBody(body)
 }
 
-// AppendMeta appends an application metadata record (e.g. an account
-// creation) and forces it durable before returning, regardless of policy:
-// metadata records define variable identity for replay, and they are rare
-// enough that an unconditional fsync costs nothing measurable.
-func (w *Writer) AppendMeta(payload []byte) error {
+// AppendMeta appends application metadata records (e.g. account
+// creations), one per payload with consecutive meta sequence numbers, and
+// returns the LSN of the last; with no payloads it appends nothing and
+// returns 0. The records go out in one write — the bytes are those of one
+// call per payload, rotating between records where a single call would —
+// but nothing is fsynced: metadata defines variable identity for replay, so
+// callers make it durable with SyncTo whatever the policy.
+func (w *Writer) AppendMeta(payloads ...[]byte) (stm.LSN, error) {
 	w.mu.Lock()
-	body := encodeMetaBody(nil, w.metaSeq, payload)
-	lsn, err := w.appendLocked(body)
-	if err == nil {
-		w.metaSeq++ // seq consumed only by a successful append
+	defer w.mu.Unlock()
+	var (
+		lsn stm.LSN
+		err error
+		// buf holds the n framed records not yet written. It is local, not
+		// w.buf: a boot's batch should not stay behind as commit scratch.
+		buf, body []byte
+		n         uint64
+	)
+	for _, p := range payloads {
+		if n > 0 && w.segBytes+int64(len(buf)) >= w.opts.SegmentBytes {
+			// The pending records fill the segment: write them now so the
+			// next record opens a new segment, as its own append would.
+			if lsn, err = w.writeMetaLocked(buf, n); err != nil {
+				return 0, err
+			}
+			buf, n = buf[:0], 0
+		}
+		body = encodeMetaBody(body[:0], w.metaSeq+n, p)
+		buf = frame(buf, body)
+		n++
 	}
-	w.mu.Unlock()
+	if n > 0 {
+		lsn, err = w.writeMetaLocked(buf, n)
+	}
+	return lsn, err
+}
+
+// writeMetaLocked writes n framed meta records and consumes their sequence
+// numbers; caller holds mu.
+func (w *Writer) writeMetaLocked(frames []byte, n uint64) (stm.LSN, error) {
+	lsn, err := w.writeLocked(frames, n)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return w.syncTo(uint64(lsn))
+	w.metaSeq += n // seqs consumed only by a successful append
+	return lsn, nil
 }
 
 func (w *Writer) appendBody(body []byte) (stm.LSN, error) {
 	w.mu.Lock()
-	lsn, err := w.appendLocked(body)
+	w.buf = frame(w.buf[:0], body)
+	lsn, err := w.writeLocked(w.buf, 1)
 	w.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -274,8 +305,9 @@ func (w *Writer) appendBody(body []byte) (stm.LSN, error) {
 	return lsn, nil
 }
 
-// appendLocked frames and writes one record; caller holds mu.
-func (w *Writer) appendLocked(body []byte) (stm.LSN, error) {
+// writeLocked writes n framed records with one write, rotating first if the
+// current segment is full, and returns the LSN of the last; caller holds mu.
+func (w *Writer) writeLocked(frames []byte, n uint64) (stm.LSN, error) {
 	if w.failed != nil {
 		return 0, w.failed
 	}
@@ -290,16 +322,15 @@ func (w *Writer) appendLocked(body []byte) (stm.LSN, error) {
 			return 0, err
 		}
 	}
-	w.buf = frame(w.buf[:0], body)
-	if _, err := w.f.Write(w.buf); err != nil {
+	if _, err := w.f.Write(frames); err != nil {
 		return 0, w.latch(err)
 	}
-	w.segBytes += int64(len(w.buf))
-	lsn := stm.LSN(w.appended.Add(1))
+	w.segBytes += int64(len(frames))
+	lsn := stm.LSN(w.appended.Add(n))
 	if err := callHook(w.opts.Hooks.AfterAppend); err != nil {
-		// The record reached the OS; treat the injected fault as striking
-		// after the write — the commit still fails, and recovery may or may
-		// not see the record, exactly like a real crash in this window.
+		// The records reached the OS; treat the injected fault as striking
+		// after the write — the append still fails, and recovery may or may
+		// not see the records, exactly like a real crash in this window.
 		return 0, w.latch(err)
 	}
 	return lsn, nil
@@ -328,17 +359,21 @@ func (w *Writer) Durable(lsn stm.LSN) error {
 		}
 		return nil
 	default:
-		return w.syncTo(uint64(lsn))
+		return w.SyncTo(lsn)
 	}
 }
 
-// syncTo fsyncs until the watermark covers lsn. The syncMu double-check is
-// the group-combining: a waiter whose LSN was covered by a concurrent fsync
-// returns without touching the disk.
-func (w *Writer) syncTo(lsn uint64) error {
+// SyncTo blocks until an fsync covers the record at lsn, whatever the
+// policy: it is the durable wait for AppendMeta, and Durable's under
+// per-commit. The syncMu double-check is the group-combining: a waiter whose
+// LSN was covered by a concurrent fsync returns without touching the disk.
+func (w *Writer) SyncTo(lsn stm.LSN) error {
+	if w.synced.Load() >= uint64(lsn) {
+		return nil
+	}
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if w.synced.Load() >= lsn {
+	if w.synced.Load() >= uint64(lsn) {
 		return nil
 	}
 	return w.syncLocked()
@@ -356,6 +391,17 @@ func (w *Writer) Sync() error {
 // segment but the current one is already synced, so syncing the current file
 // is enough to advance the watermark to the captured append count.
 func (w *Writer) syncLocked() error {
+	if err := w.Err(); err != nil {
+		return err
+	}
+	// The hook runs where the fsync itself waits, outside mu: a stalled sync
+	// holds up other syncs, not appends.
+	if err := callHook(w.opts.Hooks.BeforeSync); err != nil {
+		w.mu.Lock()
+		err = w.latch(err)
+		w.mu.Unlock()
+		return err
+	}
 	w.mu.Lock()
 	if w.failed != nil {
 		err := w.failed
@@ -364,11 +410,6 @@ func (w *Writer) syncLocked() error {
 	}
 	f := w.f
 	cur := w.appended.Load()
-	if err := callHook(w.opts.Hooks.BeforeSync); err != nil {
-		err = w.latch(err)
-		w.mu.Unlock()
-		return err
-	}
 	w.mu.Unlock()
 	if err := f.Sync(); err != nil {
 		w.mu.Lock()

@@ -1,10 +1,13 @@
 package wal_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stm"
 	"repro/internal/wal"
@@ -92,7 +95,7 @@ func TestMetaRecovery(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, wal.SyncPerCommit)
 	for _, p := range []string{"alpha", "beta"} {
-		if err := w.AppendMeta([]byte(p)); err != nil {
+		if _, err := w.AppendMeta([]byte(p)); err != nil {
 			t.Fatalf("AppendMeta(%s): %v", p, err)
 		}
 	}
@@ -115,7 +118,7 @@ func TestMetaRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AppendMeta([]byte("gamma")); err != nil {
+	if _, err := w2.AppendMeta([]byte("gamma")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -127,6 +130,138 @@ func TestMetaRecovery(t *testing.T) {
 	}
 	if len(rec2.Metas) != 3 || string(rec2.Metas[2]) != "gamma" {
 		t.Fatalf("metas after reopen: got %q", rec2.Metas)
+	}
+}
+
+// metaPayloads returns n distinct payloads of varying length.
+func metaPayloads(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = []byte(fmt.Sprintf(`{"id":"%d","balance":%d}`, i, i*i))
+	}
+	return out
+}
+
+// segments returns the contents of dir's segment files in sequence order.
+func segments(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(names)) // zero-padded names: Glob order is sequence order
+	for i, name := range names {
+		if out[i], err = os.ReadFile(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestAppendMetaBatchBytes: one AppendMeta of N payloads writes the same
+// segment files as N single calls — same framing, same meta sequence numbers,
+// rotation at the same record boundaries — and recovers to the same state.
+func TestAppendMetaBatchBytes(t *testing.T) {
+	payloads := metaPayloads(40)
+	write := func(batch bool) string {
+		dir := t.TempDir()
+		w, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A commit first, so the metas do not start on a segment boundary.
+		appendT(t, w, 1, 1, lw(1, int64(7)))
+		var lsn stm.LSN
+		if batch {
+			lsn, err = w.AppendMeta(payloads...)
+		} else {
+			for _, p := range payloads {
+				if lsn, err = w.AppendMeta(p); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("AppendMeta (batch=%v): %v", batch, err)
+		}
+		if want := stm.LSN(1 + len(payloads)); lsn != want {
+			t.Fatalf("AppendMeta (batch=%v) returned LSN %d, want %d", batch, lsn, want)
+		}
+		if err := w.SyncTo(lsn); err != nil {
+			t.Fatal(err)
+		}
+		appendT(t, w, 2, 2, lw(1, int64(8)))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	single, batched := write(false), write(true)
+
+	a, b := segments(t, single), segments(t, batched)
+	if len(a) < 3 {
+		t.Fatalf("the metas must span several segments to test rotation, got %d", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("batched AppendMeta wrote different segments than single appends (%d vs %d files)", len(b), len(a))
+	}
+	r1, err := wal.Recover(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := wal.Recover(batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1.Metas, payloads) || !reflect.DeepEqual(r2.Metas, payloads) {
+		t.Fatalf("recovered metas differ from the payloads: single %d, batched %d", len(r1.Metas), len(r2.Metas))
+	}
+	if !reflect.DeepEqual(r1.Values, r2.Values) || r1.Serial != r2.Serial {
+		t.Fatalf("recovered state differs: single %v@%d, batched %v@%d", r1.Values, r1.Serial, r2.Values, r2.Serial)
+	}
+}
+
+// TestAppendMetaBatchOneFsync: a 1024-payload AppendMeta plus SyncTo costs
+// exactly one fsync under every policy — AppendMeta itself never syncs, and
+// SyncTo does not wait for the policy's syncer.
+func TestAppendMetaBatchOneFsync(t *testing.T) {
+	for _, policy := range []wal.Policy{wal.SyncPerCommit, wal.SyncPerBatch, wal.SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var syncs atomic.Int64
+			w, err := wal.Open(wal.Options{
+				Dir: t.TempDir(), Policy: policy,
+				BatchWait: time.Hour, Interval: time.Hour, // no background fsync
+				Hooks: wal.Hooks{BeforeSync: func() error { syncs.Add(1); return nil }},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if lsn, err := w.AppendMeta(); lsn != 0 || err != nil {
+				t.Fatalf("empty AppendMeta: lsn=%d err=%v, want 0/nil", lsn, err)
+			}
+			lsn, err := w.AppendMeta(metaPayloads(1024)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lsn != 1024 {
+				t.Fatalf("LSN %d, want 1024", lsn)
+			}
+			if n := syncs.Load(); n != 0 {
+				t.Fatalf("AppendMeta fsynced %d times, want 0", n)
+			}
+			for range 2 { // the second wait is covered by the first fsync
+				if err := w.SyncTo(lsn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := syncs.Load(); n != 1 {
+				t.Fatalf("1024 metas + SyncTo cost %d fsyncs, want 1", n)
+			}
+			if _, synced, pending, _ := w.WALCounters(); synced != 1024 || pending != 0 {
+				t.Fatalf("after SyncTo: synced=%d pending=%d, want 1024/0", synced, pending)
+			}
+		})
 	}
 }
 
@@ -283,7 +418,7 @@ func TestCorruptMiddleSegmentFails(t *testing.T) {
 func TestRotateSnapshotPrune(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, wal.SyncPerCommit)
-	if err := w.AppendMeta([]byte("m0")); err != nil {
+	if _, err := w.AppendMeta([]byte("m0")); err != nil {
 		t.Fatal(err)
 	}
 	appendT(t, w, 1, 1, lw(1, int64(100)))
